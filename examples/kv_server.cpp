@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "apps/kvstore.hh"
+#include "ccnic/ccnic.hh"
 #include "mem/platform.hh"
 
 using namespace ccn;
@@ -35,15 +36,7 @@ main()
     kv.sizes = workload::SizeDist::ads();
     kv.window = sim::fromUs(200.0);
 
-    auto r = apps::runKvStore(
-        simv, system, nic,
-        [&nic](int q, const ccnic::WirePacket &p) {
-            nic.injectRx(q, p);
-        },
-        [&nic](std::function<void(int, const ccnic::WirePacket &)> s) {
-            nic.setTxSink(std::move(s));
-        },
-        wire, kv);
+    auto r = apps::runKvStore(simv, system, nic, wire, kv);
 
     std::printf("KV store over CC-NIC: %d server threads served "
                 "%.1f Mops/s (%.0f Gbps of responses)\n",

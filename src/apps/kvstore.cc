@@ -4,7 +4,7 @@
 
 namespace ccn::apps {
 
-using ccnic::WirePacket;
+using driver::WirePacket;
 using driver::PacketBuf;
 using mem::Addr;
 using sim::Tick;
@@ -231,7 +231,6 @@ serveConnTask(sim::Simulator &sim, mem::CoherentSystem &m,
 /** Client generator injecting requests through the inbound wire. */
 sim::Task
 clientGen(sim::Simulator &sim, driver::NicInterface &nic,
-          std::function<void(int, const WirePacket &)> inject,
           std::shared_ptr<WireModel> inbound, const KvConfig cfg,
           std::shared_ptr<KvServer::State> st, std::uint64_t seed)
 {
@@ -256,8 +255,9 @@ clientGen(sim::Simulator &sim, driver::NicInterface &nic,
         pkt.userData = key | (get ? 0ULL : (1ULL << 63));
         const int q = static_cast<int>(n % queues);
         const Tick at = inbound->admit(pkt.len);
-        auto inj = inject;
-        sim.scheduleCallback(at, [inj, q, pkt] { inj(q, pkt); });
+        sim.scheduleCallback(at, [np = &nic, q, pkt] {
+            np->injectRx(q, pkt);
+        });
         n++;
     }
     co_return;
@@ -298,12 +298,8 @@ KvServer::startOverTransport(sim::Simulator &sim,
 
 KvResult
 runKvStore(sim::Simulator &sim, mem::CoherentSystem &mem_system,
-           driver::NicInterface &nic,
-           std::function<void(int, const WirePacket &)> inject,
-           std::function<void(
-               std::function<void(int, const WirePacket &)>)>
-               set_tx_sink,
-           WireModel &wire, const KvConfig &cfg)
+           driver::NicInterface &nic, WireModel &wire,
+           const KvConfig &cfg)
 {
     sim::Rng rng(cfg.seed);
     KvServer server(mem_system, cfg, rng);
@@ -314,7 +310,7 @@ runKvStore(sim::Simulator &sim, mem::CoherentSystem &mem_system,
     // Outbound responses pass the wire cap and are counted.
     std::shared_ptr<KvServer::State> stp = st;
     WireModel *wp = &wire;
-    set_tx_sink([stp, wp](int, const WirePacket &pkt) {
+    nic.setTxSink([stp, wp](int, const WirePacket &pkt) {
         const Tick exit = wp->admit(pkt.len, pkt.segments);
         if (exit >= stp->measureStart && exit < stp->measureEnd) {
             stp->served++;
@@ -329,7 +325,7 @@ runKvStore(sim::Simulator &sim, mem::CoherentSystem &mem_system,
     for (int c = 0; c < 2; ++c) {
         KvConfig half = cfg;
         half.offeredOps = cfg.offeredOps / 2;
-        sim.spawn(clientGen(sim, nic, inject, inbound, half, st,
+        sim.spawn(clientGen(sim, nic, inbound, half, st,
                             cfg.seed * 31 + c));
     }
     sim.run(st->measureEnd + sim::fromUs(20.0));

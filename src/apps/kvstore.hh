@@ -17,7 +17,6 @@
 #include <memory>
 #include <vector>
 
-#include "ccnic/ccnic.hh"
 #include "driver/nic_iface.hh"
 #include "mem/coherence.hh"
 #include "sim/random.hh"
@@ -125,22 +124,13 @@ class KvServer
 };
 
 /**
- * Run the KV server on @p nic (already started, external wire mode
- * will be configured by this harness) and measure peak served
- * throughput.
- *
- * @param inject Function injecting a request packet into server queue
- *               q (the NIC's RX path).
+ * Run the KV server on @p nic (already started; this harness installs
+ * its TX sink and injects client requests into its RX queues) and
+ * measure peak served throughput.
  */
 KvResult runKvStore(sim::Simulator &sim, mem::CoherentSystem &mem_system,
-                    driver::NicInterface &nic,
-                    std::function<void(int, const ccnic::WirePacket &)>
-                        inject,
-                    std::function<void(
-                        std::function<void(int,
-                                           const ccnic::WirePacket &)>)>
-                        set_tx_sink,
-                    WireModel &wire, const KvConfig &cfg);
+                    driver::NicInterface &nic, WireModel &wire,
+                    const KvConfig &cfg);
 
 } // namespace ccn::apps
 

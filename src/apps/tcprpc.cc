@@ -5,7 +5,7 @@
 
 namespace ccn::apps {
 
-using ccnic::WirePacket;
+using driver::WirePacket;
 using driver::PacketBuf;
 using mem::Addr;
 using sim::Tick;
@@ -92,7 +92,6 @@ fastPathThread(sim::Simulator &sim, mem::CoherentSystem &m,
 
 sim::Task
 rpcClientGen(sim::Simulator &sim, driver::NicInterface &nic,
-             std::function<void(int, const WirePacket &)> inject,
              std::shared_ptr<WireModel> inbound, const TcpRpcConfig cfg,
              std::shared_ptr<RpcState> st, std::uint64_t seed)
 {
@@ -117,8 +116,9 @@ rpcClientGen(sim::Simulator &sim, driver::NicInterface &nic,
                                        static_cast<std::uint64_t>(
                                            queues));
         const Tick at = inbound->admit(pkt.len);
-        auto inj = inject;
-        sim.scheduleCallback(at, [inj, q, pkt] { inj(q, pkt); });
+        sim.scheduleCallback(at, [np = &nic, q, pkt] {
+            np->injectRx(q, pkt);
+        });
         n++;
     }
     co_return;
@@ -128,12 +128,8 @@ rpcClientGen(sim::Simulator &sim, driver::NicInterface &nic,
 
 TcpRpcResult
 runTcpRpc(sim::Simulator &sim, mem::CoherentSystem &mem_system,
-          driver::NicInterface &nic,
-          std::function<void(int, const WirePacket &)> inject,
-          std::function<void(
-              std::function<void(int, const WirePacket &)>)>
-              set_tx_sink,
-          WireModel &wire, const TcpRpcConfig &cfg)
+          driver::NicInterface &nic, WireModel &wire,
+          const TcpRpcConfig &cfg)
 {
     auto st = std::make_shared<RpcState>();
     st->measureStart = sim.now() + cfg.warmup;
@@ -151,7 +147,7 @@ runTcpRpc(sim::Simulator &sim, mem::CoherentSystem &mem_system,
 
     std::shared_ptr<RpcState> stp = st;
     WireModel *wp = &wire;
-    set_tx_sink([stp, wp](int, const WirePacket &pkt) {
+    nic.setTxSink([stp, wp](int, const WirePacket &pkt) {
         const Tick exit = wp->admit(pkt.len);
         if (exit >= stp->measureStart && exit < stp->measureEnd)
             stp->served++;
@@ -163,7 +159,7 @@ runTcpRpc(sim::Simulator &sim, mem::CoherentSystem &mem_system,
     }
     auto inbound = std::make_shared<WireModel>(sim, wire.pps.rate(),
                                                wire.bytes.rate());
-    sim.spawn(rpcClientGen(sim, nic, inject, inbound, cfg, st,
+    sim.spawn(rpcClientGen(sim, nic, inbound, cfg, st,
                            cfg.seed));
     sim.run(st->measureEnd + sim::fromUs(20.0));
     mem_system.profiler().unregisterRegion(flow_region);

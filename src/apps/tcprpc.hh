@@ -14,8 +14,6 @@
 #ifndef CCN_APPS_TCPRPC_HH
 #define CCN_APPS_TCPRPC_HH
 
-#include <functional>
-
 #include "apps/kvstore.hh" // WireModel.
 #include "driver/nic_iface.hh"
 #include "mem/coherence.hh"
@@ -43,14 +41,10 @@ struct TcpRpcResult
 };
 
 /** Run the echo RPC service and measure served throughput. */
-TcpRpcResult runTcpRpc(
-    sim::Simulator &sim, mem::CoherentSystem &mem_system,
-    driver::NicInterface &nic,
-    std::function<void(int, const ccnic::WirePacket &)> inject,
-    std::function<void(
-        std::function<void(int, const ccnic::WirePacket &)>)>
-        set_tx_sink,
-    WireModel &wire, const TcpRpcConfig &cfg);
+TcpRpcResult runTcpRpc(sim::Simulator &sim,
+                       mem::CoherentSystem &mem_system,
+                       driver::NicInterface &nic, WireModel &wire,
+                       const TcpRpcConfig &cfg);
 
 } // namespace ccn::apps
 

@@ -22,6 +22,7 @@
 #ifndef CCN_DRIVER_MEMPOOL_HH
 #define CCN_DRIVER_MEMPOOL_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
@@ -71,6 +72,21 @@ struct MempoolConfig
     /// standard per-queue mempool deployment); host and NIC agents of
     /// one queue share a stripe (§3.4), but queues do not contend.
     int stripes = 1;
+
+    /**
+     * Size the pool to @p queues queue pairs of @p slots ring or
+     * message slots per direction: occupancy in both directions plus
+     * recycle stacks on both sides plus generator headroom per queue.
+     */
+    void
+    sizeFor(int queues, std::uint32_t slots)
+    {
+        const std::uint32_t q = static_cast<std::uint32_t>(queues);
+        const std::uint32_t per_q = slots * 2 + 2 * recycleDepth + 256;
+        largeCount = std::max<std::uint32_t>(2048, q * per_q);
+        smallCount = std::max<std::uint32_t>(8192, q * per_q);
+        stripes = queues;
+    }
 };
 
 /**

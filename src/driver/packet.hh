@@ -98,6 +98,72 @@ struct PacketBuf
     }
 };
 
+/** A packet on the (modeled) wire: logical contents only. */
+struct WirePacket
+{
+    std::uint32_t len = 0;
+    sim::Tick txTime = 0;
+    std::uint64_t flowId = 0;
+    std::uint64_t userData = 0;
+    std::uint8_t segments = 1; ///< Descriptor slots consumed (extbuf).
+
+    /// @name Fabric addressing (src/net). 0 means "unset": the fabric
+    /// stamps src with the sending port's address on ingress, and a
+    /// dst of 0 never matches a forwarding-table entry.
+    /// @{
+    std::uint32_t src = 0;
+    std::uint32_t dst = 0;
+    /// @}
+
+    /// Reliable-transport header (all-zero for raw traffic).
+    TransportHeader tp;
+
+    /// Frame check sequence stamped by the NIC TX engine; 0 means
+    /// "unstamped" (packets injected directly by tests/harnesses).
+    std::uint32_t fcs = 0;
+
+    /// Lifecycle span slot riding across the wire (not FCS-covered:
+    /// telemetry, not packet contents). See obs/span.hh.
+    obs::PacketSpan span;
+};
+
+/**
+ * The wire image of @p buf carrying @p len bytes. The buffer's span
+ * slot moves onto the packet: the span rides the wire from here, and
+ * the buffer is about to be recycled and must not keep an active
+ * slot. A chained second segment makes it a two-slot (extbuf) frame.
+ */
+inline WirePacket
+wireFrom(PacketBuf &buf, std::uint32_t len)
+{
+    WirePacket pkt;
+    pkt.len = len;
+    pkt.txTime = buf.txTime;
+    pkt.flowId = buf.flowId;
+    pkt.userData = buf.userData;
+    pkt.segments = buf.nextSeg ? 2 : 1;
+    pkt.src = buf.src;
+    pkt.dst = buf.dst;
+    pkt.tp = buf.tp;
+    pkt.span = buf.span;
+    buf.span.clear();
+    return pkt;
+}
+
+/**
+ * CRC-32C over the packet's logical contents. Fabric addressing is
+ * excluded from the covered fields because the source address is
+ * stamped by the fabric port after the NIC computes the FCS.
+ */
+std::uint32_t wireFcs(const WirePacket &pkt);
+
+/** Verify the FCS; unstamped packets (fcs == 0) always pass. */
+inline bool
+fcsOk(const WirePacket &pkt)
+{
+    return pkt.fcs == 0 || pkt.fcs == wireFcs(pkt);
+}
+
 } // namespace ccn::driver
 
 #endif // CCN_DRIVER_PACKET_HH

@@ -69,6 +69,22 @@ struct BatchPolicy
     sim::Tick flushTimeout = sim::fromUs(1.0);
 
     bool enabled() const { return mode != BatchMode::Off; }
+
+    /**
+     * Clamp an enabled policy's targets to at most @p cap (itself at
+     * least 1), keeping 1 <= size <= maxSize. A batch held back from
+     * publication shrinks what the consumer can see, so owners cap it
+     * well under their ring or slot count.
+     */
+    void
+    clampTo(std::uint32_t cap)
+    {
+        if (!enabled())
+            return;
+        cap = std::max(1u, cap);
+        size = std::min(std::max(1u, size), cap);
+        maxSize = std::min(std::max(size, maxSize), cap);
+    }
 };
 
 /**
@@ -376,6 +392,14 @@ class DescRing
         std::fill(sealed_.begin(), sealed_.end(), 0);
     }
     /// @}
+
+    /** Blank every slot and seal (device reset). */
+    void
+    clear()
+    {
+        std::fill(slots_.begin(), slots_.end(), Slot{});
+        clearAllSeals();
+    }
 
   private:
     std::uint8_t &

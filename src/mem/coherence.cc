@@ -13,21 +13,14 @@ using sim::Tick;
 
 /**
  * Coherence-profiler hook: one predictable branch when the profiler
- * is disabled, nothing at all when compiled out. Hooks never touch
- * protocol state or timing — profiling leaves simulation results
- * bit-identical.
+ * is disabled. Hooks never touch protocol state or timing — profiling
+ * leaves simulation results bit-identical.
  */
-#if CCN_COHERENCE_PROFILER
 #define CCN_PROF(call)                                                 \
     do {                                                               \
         if (prof_.enabled())                                           \
             prof_.call;                                                \
     } while (0)
-#else
-#define CCN_PROF(call)                                                 \
-    do {                                                               \
-    } while (0)
-#endif
 
 CoherentSystem::CoherentSystem(sim::Simulator &sim,
                                const PlatformConfig &config)
@@ -50,7 +43,7 @@ CoherentSystem::addAgent(int socket)
     assert(socket >= 0 && socket < cfg_.sockets);
     AgentId id = static_cast<AgentId>(agents_.size());
     assert(id < 128 && "SharerSet supports up to 128 L2 caches");
-    agents_.push_back(Agent{socket, {}, 0, 0});
+    agents_.push_back(Agent{socket, {}, 0, 0, {}, 0});
     l2_.emplace_back(cfg_.l2Lines, cfg_.l2Ways);
     return id;
 }

@@ -11,10 +11,11 @@
  * flow always lands on one queue while distinct flows spread across
  * all of them.
  *
- * NICs are attached through type-erased hooks (NicPortHooks) because
- * CcNic and PcieNic expose identical setTxSink/injectRx surfaces
- * without a common base class. The NIC must be configured with
- * loopback disabled; otherwise its TX sink is never consulted.
+ * NICs are attached through type-erased hooks (NicPortHooks): every
+ * interface family gets them from its driver::NicInterface
+ * (hooksFor), and tests can attach synthetic endpoints. The NIC must
+ * be configured with loopback disabled; otherwise its TX sink is
+ * never consulted.
  */
 
 #ifndef CCN_NET_FABRIC_HH
@@ -27,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "driver/nic_iface.hh"
 #include "net/link.hh"
 #include "net/switch.hh"
 
@@ -43,10 +45,9 @@ struct NicPortHooks
     int numQueues = 1;
 };
 
-/** Build hooks for any NIC with setTxSink/injectRx/numQueues. */
-template <typename Nic>
-NicPortHooks
-hooksFor(Nic &nic)
+/** Build the attachment hooks of a NIC of any interface family. */
+inline NicPortHooks
+hooksFor(driver::NicInterface &nic)
 {
     NicPortHooks h;
     h.setTxSink =

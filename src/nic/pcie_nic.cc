@@ -86,34 +86,42 @@ pcieDriverCosts(const mem::PlatformConfig &plat)
 } // namespace
 
 PcieNic::Queue::Queue(sim::Simulator &sim, mem::CoherentSystem &m,
-                      const NicParams &p, int host_socket,
-                      pcie::PcieLink &link)
+                      int host_socket, pcie::PcieLink &link,
+                      WirePort &port)
     : hostAgent(m.addAgent(host_socket)),
       tx(m, host_socket, kRingEntries, driver::RingLayout::Packed),
       rx(m, host_socket, kRingEntries, driver::RingLayout::Packed),
       txShadow(kRingEntries, nullptr),
       txHeadWb(m.alloc(host_socket, mem::kLineBytes, mem::kLineBytes)),
       doorbells(sim),
-      rxInput(sim),
+      rxInput(port.rxInput),
       wc(sim, link, pcie::WcTarget::Device)
-{
-    (void)p;
-}
+{}
 
 PcieNic::PcieNic(sim::Simulator &sim, mem::CoherentSystem &mem_system,
                  const NicParams &params, int num_queues,
                  int host_socket, sim::Rng &rng)
-    : sim_(sim), mem_(mem_system), params_(params),
-      hostSocket_(host_socket),
+    : NicInterface(sim, mem_system,
+                   {.prefix = "pcie_nic",
+                    .numQueues = num_queues,
+                    .beatPeriod = params.beatPeriod,
+                    .resetLat = params.resetLat,
+                    .reinitLat = sim::fromNs(500.0),
+                    // With no sink installed TX still loops back; once
+                    // one is, every packet goes to it.
+                    .loopback = false,
+                    .coherentBeat = false}),
+      params_(params),
       costs_(pcieDriverCosts(mem_system.config())),
       link_(sim, params.pcie, mem_system, host_socket),
-      integrity_(mem_system), pipeline_(sim, params.pipelinePps),
-      runGate_(sim)
+      pipeline_(sim, params.pipelinePps)
 {
-    devBeatLine_ =
-        mem_.alloc(host_socket, mem::kLineBytes, mem::kLineBytes);
-    hostBeatLine_ =
-        mem_.alloc(host_socket, mem::kLineBytes, mem::kLineBytes);
+    // The device heartbeat is a DDIO head-writeback-style line the
+    // device bumps; the host beat is a host-memory line (PCIe devices
+    // do not poll host liveness in this model).
+    nicBeat_ = std::make_unique<driver::RegisterLine>(mem_, host_socket);
+    hostBeat_ =
+        std::make_unique<driver::RegisterLine>(mem_, host_socket);
     driver::MempoolConfig pool_cfg;
     pool_cfg.homeSocket = host_socket;
     pool_cfg.largeBufBytes = 2048; // Standard DPDK mbuf data room.
@@ -128,26 +136,16 @@ PcieNic::PcieNic(sim::Simulator &sim, mem::CoherentSystem &mem_system,
     pool_ = std::make_unique<driver::Mempool>(mem_, pool_cfg, rng);
     // Clamp the coalescing target well under the ring so deferred
     // doorbells can never cover more work than the ring holds.
-    if (params_.batch.enabled()) {
-        const std::uint32_t cap = kRingEntries / 4;
-        params_.batch.size =
-            std::min(std::max(1u, params_.batch.size), cap);
-        params_.batch.maxSize = std::min(
-            std::max(params_.batch.size, params_.batch.maxSize), cap);
-    }
+    params_.batch.clampTo(kRingEntries / 4);
     for (int q = 0; q < num_queues; ++q) {
-        queues_.push_back(std::make_unique<Queue>(sim_, mem_, params_,
-                                                  host_socket, link_));
+        queues_.push_back(std::make_unique<Queue>(sim_, mem_, host_socket,
+                                                  link_, port(q)));
         queues_.back()->doorbellsQ =
             &doorbellsQ_.at(static_cast<std::uint64_t>(q));
         queues_.back()->dbPending.setPolicy(params_.batch);
-        queues_.back()->batchOcc =
-            &batchOccupancy_.at(static_cast<std::uint64_t>(q));
     }
     registerProfRegions();
 }
-
-PcieNic::~PcieNic() { unregisterProfRegions(); }
 
 void
 PcieNic::registerProfRegions()
@@ -174,60 +172,27 @@ PcieNic::registerProfRegions()
                                 qu.txHeadWb, mem::kLineBytes, intent));
     }
     profRegions_.push_back(prof.registerRegion(
-        "pcie.dev_beat", devBeatLine_, mem::kLineBytes, intent));
+        "pcie.dev_beat", nicBeat_->addr(), mem::kLineBytes, intent));
     profRegions_.push_back(prof.registerRegion(
-        "pcie.host_beat", hostBeatLine_, mem::kLineBytes, intent));
+        "pcie.host_beat", hostBeat_->addr(), mem::kLineBytes, intent));
 }
 
 void
-PcieNic::unregisterProfRegions()
+PcieNic::spawnEngines(int q)
 {
-    auto &prof = mem_.profiler();
-    for (auto id : profRegions_)
-        prof.unregisterRegion(id);
-    profRegions_.clear();
-}
-
-void
-PcieNic::start()
-{
-    assert(!started_);
-    started_ = true;
-    for (int q = 0; q < numQueues(); ++q) {
-        sim_.spawn(devTxEngine(q));
-        sim_.spawn(devRxEngine(q));
-        if (params_.batch.enabled())
-            sim_.spawn(txDoorbellTimerTask(q));
-    }
-    sim_.spawn(heartbeatTask());
-}
-
-sim::Task
-PcieNic::heartbeatTask()
-{
-    for (;;) {
-        co_await sim_.delay(params_.beatPeriod);
-        if (wedged_ || devState_ != DevState::Running)
-            continue; // Silence is the failure signal.
-        PcieNic *self = this;
-        link_.postedDmaWrite(devBeatLine_, 8,
-                             [self] { self->devBeatValue_++; });
-    }
+    sim_.spawn(devTxEngine(q));
+    sim_.spawn(devRxEngine(q));
+    if (params_.batch.enabled())
+        sim_.spawn(txDoorbellTimerTask(q));
 }
 
 sim::Coro<void>
-PcieNic::beatHost()
+PcieNic::beatDevice()
 {
-    co_await mem_.store(queues_[0]->hostAgent, hostBeatLine_, 8);
+    driver::RegisterLine *beat = nicBeat_.get();
+    link_.postedDmaWrite(beat->addr(), 8,
+                         [beat] { beat->publish(beat->value() + 1); });
     co_return;
-}
-
-sim::Coro<std::uint64_t>
-PcieNic::readDeviceBeat()
-{
-    // DDIO writeback target: an LLC hit for the host.
-    co_await mem_.load(queues_[0]->hostAgent, devBeatLine_, 8);
-    co_return devBeatValue_;
 }
 
 driver::QueueHealth
@@ -247,104 +212,53 @@ PcieNic::health(int q) const
 }
 
 sim::Coro<void>
-PcieNic::quiesce()
+PcieNic::drainEngines()
 {
-    if (devState_ == DevState::Down)
-        co_return;
-    devState_ = DevState::Quiescing;
-    runGate_.notifyAll();
-    while (hostOps_ > 0 || devOps_ > 0)
+    while (*devOps_ > 0)
         co_await sim_.delay(sim::fromNs(100));
-    devState_ = DevState::Down;
     co_return;
 }
 
-sim::Coro<void>
-PcieNic::reset()
+std::vector<PacketBuf *>
+PcieNic::reclaimSlots(int q)
 {
-    assert(devState_ == DevState::Down);
-    // Function-level reset; in-flight doorbells and DMA completions
-    // land during this window and are discarded below.
-    co_await sim_.delay(params_.resetLat);
-
-    std::uint64_t reclaimed = 0;
-    for (int q = 0; q < numQueues(); ++q) {
-        Queue &queue = *queues_[q];
-        // TX ownership is tracked by txShadow (the device never clears
-        // slot.buf, so TX ring slots can alias already-freed buffers);
-        // RX ring slots own their buffer while posted or completed.
-        std::vector<PacketBuf *> frees;
-        for (PacketBuf *&b : queue.txShadow) {
-            if (b) {
-                b->nextSeg = nullptr;
-                frees.push_back(b);
-            }
-            b = nullptr;
-        }
-        for (std::uint32_t i = 0; i < queue.rx.entries(); ++i) {
-            auto &slot = queue.rx.slot(i);
-            if (slot.buf && slot.meta != kRxEmpty) {
-                slot.buf->nextSeg = nullptr;
-                frees.push_back(slot.buf);
-            }
-            slot.buf = nullptr;
-            slot.ready = false;
-            slot.meta = kRxEmpty;
-            slot.len = 0;
-            slot.gen = 0;
-            slot.csum = 0;
-        }
-        for (std::uint32_t i = 0; i < queue.tx.entries(); ++i) {
-            auto &slot = queue.tx.slot(i);
-            slot.buf = nullptr;
-            slot.ready = false;
-            slot.meta = 0;
-            slot.len = 0;
-            slot.gen = 0;
-            slot.csum = 0;
-        }
-        if (!frees.empty()) {
-            co_await pool_->freeBurst(queue.hostAgent, frees.data(),
-                                      static_cast<int>(frees.size()),
-                                      q);
-            reclaimed += frees.size();
-        }
-        while (!queue.doorbells.empty())
-            (void)co_await queue.doorbells.get();
-        while (!queue.rxInput.empty())
-            (void)co_await queue.rxInput.get();
-        // Coalesced doorbells reference ring indices that no longer
-        // exist; drop them (buffers were reclaimed via txShadow above).
-        (void)queue.dbPending.take(/*timeout_flush=*/true);
-        queue.dbFlushedTail = 0;
-        queue.txProd = queue.txFreeScan = 0;
-        queue.rxCons = queue.rxPostProd = 0;
-        queue.devTxCons = queue.devTxTail = 0;
-        queue.devRxPostCons = queue.devRxPostTail = 0;
-        queue.txHeadValue = 0;
+    Queue &queue = *queues_[q];
+    // TX ownership is tracked by txShadow (the device never clears
+    // slot.buf, so TX ring slots can alias already-freed buffers);
+    // RX ring slots own their buffer while posted or completed.
+    std::vector<PacketBuf *> held;
+    for (PacketBuf *&b : queue.txShadow) {
+        if (b)
+            held.push_back(b);
+        b = nullptr;
     }
-    pool_->auditLeaks();
-    resetReclaimed_ += reclaimed;
-    resets_++;
-    obs::tracepoint(obs::EventKind::Custom, "pcie_nic.reset",
-                    sim_.now(), reclaimed);
-    co_return;
+    for (std::uint32_t i = 0; i < queue.rx.entries(); ++i) {
+        const auto &slot = queue.rx.slot(i);
+        if (slot.buf && slot.meta != kRxEmpty)
+            held.push_back(slot.buf);
+    }
+    queue.rx.clear();
+    queue.tx.clear();
+    return held;
 }
 
-sim::Coro<void>
-PcieNic::reinit()
+void
+PcieNic::rewindQueue(int q)
 {
-    assert(devState_ == DevState::Down);
-    co_await sim_.delay(sim::fromNs(500.0));
-    // Function-level reset does not reallocate rings or beat lines:
-    // the ranges are identical, so re-registration must not leak
-    // region slots.
-    unregisterProfRegions();
-    registerProfRegions();
-    wedged_ = false;
-    devState_ = DevState::Running;
-    runGate_.notifyAll();
-    co_return;
+    Queue &queue = *queues_[q];
+    // Function-level reset: in-flight doorbells and DMA completions
+    // that landed during the reset window are discarded.
+    queue.doorbells.clear();
+    queue.rxInput.clear();
+    // Coalesced doorbells reference ring indices that no longer
+    // exist; drop them (buffers were reclaimed via txShadow).
+    (void)queue.dbPending.take(/*timeout_flush=*/true);
+    queue.dbFlushedTail = 0;
+    queue.txProd = queue.txFreeScan = 0;
+    queue.rxCons = queue.rxPostProd = 0;
+    queue.devTxCons = queue.devTxTail = 0;
+    queue.devRxPostCons = queue.devRxPostTail = 0;
+    queue.txHeadValue = 0;
 }
 
 mem::AgentId
@@ -361,75 +275,6 @@ PcieNic::faultLines() const
     // completions.
     const Queue &q = *queues_[0];
     return {q.tx.lineOf(q.devTxCons), q.rx.lineOf(q.rxCons)};
-}
-
-sim::Coro<bool>
-PcieNic::consumeGuard(mem::Addr line)
-{
-    if (!mem_.faultsArmed())
-        co_return true;
-    if (integrity_.staleView(line, mem::kLineBytes)) {
-        integrity_.noteReject();
-        co_return false;
-    }
-    co_return co_await integrity_.guardRange(line, mem::kLineBytes);
-}
-
-void
-PcieNic::deliverTx(int q, const WirePacket &pkt)
-{
-    txCount_++;
-    // TX checksum offload: every packet leaves with a valid FCS.
-    WirePacket out = pkt;
-    out.span.stamp(obs::SpanStage::WireTx, sim_.now());
-    out.fcs = ccnic::wireFcs(out);
-    if (!loopback_ && txSink_) {
-        txSink_(q, out);
-        return;
-    }
-    out.span.stamp(obs::SpanStage::LinkDeliver, sim_.now());
-    queues_[q]->rxInput.put(out);
-}
-
-void
-PcieNic::injectRx(int q, const WirePacket &pkt)
-{
-    if (!ccnic::fcsOk(pkt)) {
-        rxCrcDrops_++;
-        return;
-    }
-    WirePacket in = pkt;
-    in.span.stamp(obs::SpanStage::LinkDeliver, sim_.now());
-    queues_[q]->rxInput.put(in);
-}
-
-sim::Coro<int>
-PcieNic::allocBufs(int q, std::uint32_t size, PacketBuf **bufs,
-                   int count)
-{
-    (void)size;
-    Queue &queue = *queues_[q];
-    co_await sim_.delay(mem_.config().cycles(
-        costs_.perAllocFree * std::max(1, count / 8)));
-    int got = co_await pool_->allocBurst(queue.hostAgent, 2048, bufs,
-                                         count, q);
-    // Recycled buffers must not leak a previous transport header or
-    // lifecycle span.
-    for (int i = 0; i < got; ++i) {
-        bufs[i]->tp = {};
-        bufs[i]->span.clear();
-    }
-    co_return got;
-}
-
-sim::Coro<void>
-PcieNic::freeBufs(int q, PacketBuf **bufs, int count)
-{
-    Queue &queue = *queues_[q];
-    co_await sim_.delay(mem_.config().cycles(
-        costs_.perAllocFree * std::max(1, count / 8)));
-    co_await pool_->freeBurst(queue.hostAgent, bufs, count, q);
-    co_return;
 }
 
 sim::Coro<int>
@@ -556,10 +401,7 @@ PcieNic::flushTxDoorbell(int q, bool timeout_flush)
     const auto entries = queue.dbPending.take(timeout_flush, backlog);
     if (entries.empty())
         co_return;
-    batchFlushTotal_++;
-    batchFlushes_.at(timeout_flush ? "timeout" : "full")++;
-    if (queue.batchOcc)
-        *queue.batchOcc += entries.size();
+    noteBatchFlush(q, timeout_flush ? "timeout" : "full", entries.size());
 
     // One MMIO write announces every pending descriptor: the tail
     // moves past the newest staged index.
@@ -608,7 +450,8 @@ PcieNic::rxBurst(int q, PacketBuf **bufs, int count)
 
     // Integrity gate: a poisoned or stale completion line must not be
     // trusted; retry on the next poll (transport covers any delay).
-    if (!co_await consumeGuard(queue.rx.lineOf(queue.rxCons)))
+    if (!co_await consumeGuard(queue.rx.lineOf(queue.rxCons),
+                                mem::kLineBytes))
         co_return 0;
 
     // Poll completion descriptors (DD bits) in host memory; DDIO makes
@@ -740,8 +583,8 @@ PcieNic::devTxEngine(int q)
             // Integrity gate on the descriptor line the fetch starts
             // at: absorb transient poison with bounded retries, back
             // off on a stale (torn/stuck) view.
-            if (!co_await consumeGuard(
-                    queue.tx.lineOf(queue.devTxCons))) {
+            if (!co_await consumeGuard(queue.tx.lineOf(queue.devTxCons),
+                                       mem::kLineBytes)) {
                 co_await sim_.delay(sim::fromNs(200.0));
                 continue;
             }
@@ -783,16 +626,9 @@ PcieNic::devTxEngine(int q)
                     continue;
                 spans.push_back({b->addr, b->len});
                 b->span.stamp(obs::SpanStage::NicObserve, sim_.now());
-                WirePacket wp{slot.len, b->txTime, b->flowId,
-                              b->userData, 1, b->src, b->dst};
-                wp.tp = b->tp;
-                wp.span = b->span;
-                b->span.clear();
-                if (b->nextSeg) {
+                if (b->nextSeg)
                     spans.push_back({b->nextSeg->addr, b->segLen});
-                    wp.segments = 2;
-                }
-                pkts.push_back(wp);
+                pkts.push_back(driver::wireFrom(*b, slot.len));
             }
             co_await link_.dmaReadMulti(spans);
 

@@ -1,7 +1,6 @@
 #include "pio/pio.hh"
 
 #include <algorithm>
-#include <cassert>
 
 namespace ccn::pio {
 
@@ -9,23 +8,6 @@ using driver::BufClass;
 using driver::PacketBuf;
 using mem::Addr;
 using sim::Tick;
-
-namespace {
-
-/** Size the pool to the queue count: slot occupancy on both
- *  directions plus recycle stacks plus generator headroom. */
-void
-sizePool(Config &cfg)
-{
-    const std::uint32_t q = static_cast<std::uint32_t>(cfg.numQueues);
-    const std::uint32_t per_q =
-        cfg.numSlots * 2 + 2 * cfg.pool.recycleDepth + 256;
-    cfg.pool.largeCount = std::max<std::uint32_t>(2048, q * per_q);
-    cfg.pool.smallCount = std::max<std::uint32_t>(8192, q * per_q);
-    cfg.pool.stripes = cfg.numQueues;
-}
-
-} // namespace
 
 Config
 upiConfig(int num_queues, int host_socket)
@@ -40,7 +22,7 @@ upiConfig(int num_queues, int host_socket)
     cfg.pool.smallBuffers = true;
     cfg.pool.nonSequentialFill = true;
     cfg.pool.homeSocket = host_socket;
-    sizePool(cfg);
+    cfg.pool.sizeFor(cfg.numQueues, cfg.numSlots);
     return cfg;
 }
 
@@ -79,14 +61,15 @@ cxlConfig(int num_queues, int host_socket,
 }
 
 PioNic::Queue::Queue(sim::Simulator &sim, mem::CoherentSystem &m,
-                     const Config &cfg, int host_socket, int nic_socket)
+                     const Config &cfg, int host_socket, int nic_socket,
+                     WirePort &port)
     : hostAgent(m.addAgent(host_socket)),
       nicAgent(m.addAgent(nic_socket)),
       txSlots(cfg.numSlots),
       rxSlots(cfg.numSlots),
-      rxInput(sim),
+      rxInput(port.rxInput),
       coreLock(sim, 1),
-      wireDrained(sim)
+      wireDrained(port.drained)
 {
     const std::uint64_t bytes = static_cast<std::uint64_t>(cfg.numSlots) *
                                 cfg.slotLines * mem::kLineBytes;
@@ -100,9 +83,16 @@ PioNic::Queue::Queue(sim::Simulator &sim, mem::CoherentSystem &m,
 PioNic::PioNic(sim::Simulator &sim, mem::CoherentSystem &mem_system,
                const Config &config, int host_socket, int nic_socket,
                sim::Rng &rng)
-    : sim_(sim), mem_(mem_system), cfg_(config),
-      hostSocket_(host_socket), nicSocket_(nic_socket),
-      integrity_(mem_system), runGate_(sim)
+    : NicInterface(sim, mem_system,
+                   {.prefix = "pio",
+                    .numQueues = config.numQueues,
+                    .beatPeriod = config.beatPeriod,
+                    .resetLat = config.resetLat,
+                    .reinitLat = mem_system.config().cycles(
+                        config.nicCosts.perLoop * 8),
+                    .wireLat = config.wireLat,
+                    .loopback = config.loopback}),
+      cfg_(config)
 {
     cfg_.pool.homeSocket = host_socket;
     // Slot index arithmetic masks with numSlots-1.
@@ -117,32 +107,21 @@ PioNic::PioNic(sim::Simulator &sim, mem::CoherentSystem &mem_system,
     // Clamp the credit-coalescing target to a quarter of the slot
     // array: held credits shrink the flow-control window, and a target
     // at or above numSlots would wedge the producer permanently.
-    if (cfg_.batch.enabled()) {
-        const std::uint32_t cap =
-            std::max<std::uint32_t>(1, cfg_.numSlots / 4);
-        cfg_.batch.size =
-            std::min(std::max(1u, cfg_.batch.size), cap);
-        cfg_.batch.maxSize = std::min(
-            std::max(cfg_.batch.size, cfg_.batch.maxSize), cap);
-    }
+    cfg_.batch.clampTo(cfg_.numSlots / 4);
     pool_ = std::make_unique<driver::Mempool>(mem_, cfg_.pool, rng);
     for (int q = 0; q < cfg_.numQueues; ++q) {
         queues_.push_back(std::make_unique<Queue>(
-            sim_, mem_, cfg_, hostSocket_, nicSocket_));
+            sim_, mem_, cfg_, host_socket, nic_socket, port(q)));
         queues_.back()->polls =
             &slotPollsQ_.at(static_cast<std::uint64_t>(q));
         queues_.back()->rxCreditPending.setPolicy(cfg_.batch);
         queues_.back()->txCreditPending.setPolicy(cfg_.batch);
-        queues_.back()->batchOcc =
-            &batchOccupancy_.at(static_cast<std::uint64_t>(q));
     }
     hostBeat_ =
-        std::make_unique<driver::RegisterLine>(mem_, hostSocket_);
-    nicBeat_ = std::make_unique<driver::RegisterLine>(mem_, nicSocket_);
+        std::make_unique<driver::RegisterLine>(mem_, host_socket);
+    nicBeat_ = std::make_unique<driver::RegisterLine>(mem_, nic_socket);
     registerProfRegions();
 }
-
-PioNic::~PioNic() { unregisterProfRegions(); }
 
 void
 PioNic::registerProfRegions()
@@ -172,26 +151,12 @@ PioNic::registerProfRegions()
 }
 
 void
-PioNic::unregisterProfRegions()
+PioNic::spawnEngines(int q)
 {
-    auto &prof = mem_.profiler();
-    for (auto id : profRegions_)
-        prof.unregisterRegion(id);
-    profRegions_.clear();
-}
-
-void
-PioNic::start()
-{
-    assert(!started_);
-    started_ = true;
-    for (int q = 0; q < cfg_.numQueues; ++q) {
-        sim_.spawn(devTxTask(q));
-        sim_.spawn(devRxTask(q));
-        if (cfg_.batch.enabled())
-            sim_.spawn(rxCreditTimerTask(q));
-    }
-    sim_.spawn(heartbeatTask());
+    sim_.spawn(devTxTask(q));
+    sim_.spawn(devRxTask(q));
+    if (cfg_.batch.enabled())
+        sim_.spawn(rxCreditTimerTask(q));
 }
 
 mem::AgentId
@@ -215,89 +180,6 @@ PioNic::faultLines() const
     return {txLineOf(q, q.txCons), rxLineOf(q, q.rxCons)};
 }
 
-sim::Coro<bool>
-PioNic::consumeGuard(mem::Addr line)
-{
-    if (!mem_.faultsArmed())
-        co_return true;
-    if (integrity_.staleView(line, slotBytes())) {
-        integrity_.noteReject();
-        co_return false;
-    }
-    co_return co_await integrity_.guardRange(line, slotBytes());
-}
-
-void
-PioNic::deliverTx(int q, const WirePacket &pkt)
-{
-    txCount_++;
-    WirePacket out = pkt;
-    out.span.stamp(obs::SpanStage::WireTx, sim_.now());
-    out.fcs = ccnic::wireFcs(out);
-    if (!cfg_.loopback && txSink_) {
-        txSink_(q, out);
-        return;
-    }
-    if (cfg_.wireLat == 0) {
-        out.span.stamp(obs::SpanStage::LinkDeliver, sim_.now());
-        queues_[q]->rxInput.put(out);
-    } else {
-        Queue *queue = queues_[q].get();
-        sim_.scheduleCallback(sim_.now() + cfg_.wireLat,
-                              [queue, out, simp = &sim_]() mutable {
-                                  out.span.stamp(
-                                      obs::SpanStage::LinkDeliver,
-                                      simp->now());
-                                  queue->rxInput.put(out);
-                              });
-    }
-}
-
-void
-PioNic::injectRx(int q, const WirePacket &pkt)
-{
-    if (!ccnic::fcsOk(pkt)) {
-        rxCrcDrops_++;
-        return;
-    }
-    WirePacket in = pkt;
-    in.span.stamp(obs::SpanStage::LinkDeliver, sim_.now());
-    queues_[q]->rxInput.put(in);
-}
-
-sim::Task
-PioNic::heartbeatTask()
-{
-    for (;;) {
-        co_await sim_.delay(cfg_.beatPeriod);
-        // A wedged or down device goes silent: that silence is the
-        // Watchdog's failure signal.
-        if (wedged_ || devState_ != DevState::Running)
-            continue;
-        const mem::AgentId agent = queues_[0]->nicAgent;
-        co_await mem_.store(agent, nicBeat_->addr(), 8);
-        nicBeat_->publish(nicBeat_->value() + 1);
-        heartbeats_++;
-        co_await mem_.load(agent, hostBeat_->addr(), 8);
-    }
-}
-
-sim::Coro<void>
-PioNic::beatHost()
-{
-    const mem::AgentId agent = queues_[0]->hostAgent;
-    co_await mem_.store(agent, hostBeat_->addr(), 8);
-    hostBeat_->publish(hostBeat_->value() + 1);
-    co_return;
-}
-
-sim::Coro<std::uint64_t>
-PioNic::readDeviceBeat()
-{
-    co_await mem_.load(queues_[0]->hostAgent, nicBeat_->addr(), 8);
-    co_return nicBeat_->value();
-}
-
 driver::QueueHealth
 PioNic::health(int q) const
 {
@@ -311,122 +193,53 @@ PioNic::health(int q) const
 }
 
 sim::Coro<void>
-PioNic::quiesce()
+PioNic::drainEngines()
 {
-    if (devState_ == DevState::Down)
-        co_return;
-    devState_ = DevState::Quiescing;
-    runGate_.notifyAll();
-    for (auto &qp : queues_)
-        qp->wireDrained.notifyAll();
-    while (hostOps_ > 0)
-        co_await sim_.delay(sim::fromNs(100));
-    // Sweep each queue's core lock: once it can be taken, no device
-    // engine is mid-batch on that queue.
     for (auto &qp : queues_) {
         co_await qp->coreLock.acquire();
         qp->coreLock.release();
     }
-    devState_ = DevState::Down;
     co_return;
 }
 
-sim::Coro<void>
-PioNic::reset()
+std::vector<PacketBuf *>
+PioNic::reclaimSlots(int q)
 {
-    assert(devState_ == DevState::Down);
-    co_await sim_.delay(cfg_.resetLat);
-
-    std::uint64_t reclaimed = 0;
-    for (int q = 0; q < cfg_.numQueues; ++q) {
-        Queue &queue = *queues_[q];
-        // Reclaim every slot-held spill buffer. Inline messages hold
-        // no buffer; a Taken RX slot's spill already changed hands at
-        // reap, so only slots still pointing at one are device-owned.
-        std::vector<PacketBuf *> frees;
-        auto sweep = [&frees](std::vector<MsgSlot> &slots) {
-            for (MsgSlot &s : slots) {
-                if (s.spill) {
-                    s.spill->nextSeg = nullptr;
-                    frees.push_back(s.spill);
-                }
-                s.spill = nullptr;
-                s.msg = WirePacket{};
-                s.seq = 0;
-                s.state = SlotState::Free;
-            }
-        };
-        sweep(queue.txSlots);
-        sweep(queue.rxSlots);
-        // Drop wire-side packets queued into the dead device.
-        while (!queue.rxInput.empty())
-            (void)co_await queue.rxInput.get();
-
-        if (!frees.empty()) {
-            co_await pool_->freeBurst(queue.nicAgent, frees.data(),
-                                      static_cast<int>(frees.size()),
-                                      q);
-            reclaimed += frees.size();
+    Queue &queue = *queues_[q];
+    // Reclaim every slot-held spill buffer. Inline messages hold
+    // no buffer; a Taken RX slot's spill already changed hands at
+    // reap, so only slots still pointing at one are device-owned.
+    std::vector<PacketBuf *> held;
+    auto sweep = [&held](std::vector<MsgSlot> &slots) {
+        for (MsgSlot &s : slots) {
+            if (s.spill)
+                held.push_back(s.spill);
+            s.spill = nullptr;
+            s.msg = WirePacket{};
+            s.seq = 0;
+            s.state = SlotState::Free;
         }
-
-        // Pending credit flushes reference slots the sweep above just
-        // freed; drop them (the entries carry no buffers).
-        (void)queue.rxCreditPending.take(/*timeout_flush=*/true);
-        (void)queue.txCreditPending.take(/*timeout_flush=*/true);
-
-        queue.txProd = queue.txCons = 0;
-        queue.rxProd = queue.rxCons = 0;
-        queue.txSeq = queue.txSeqSeen = 0;
-        queue.rxSeq = queue.rxSeqSeen = 0;
-    }
-    pool_->auditLeaks();
-    resetReclaimed_ += reclaimed;
-    resets_++;
-    obs::tracepoint(obs::EventKind::Custom, "pio.reset", sim_.now(),
-                    reclaimed);
-    co_return;
+    };
+    sweep(queue.txSlots);
+    sweep(queue.rxSlots);
+    // Drop wire-side packets queued into the dead device.
+    queue.rxInput.clear();
+    return held;
 }
 
-sim::Coro<void>
-PioNic::reinit()
-{
-    assert(devState_ == DevState::Down);
-    co_await sim_.delay(cycles(cfg_.nicCosts.perLoop * 8));
-    // Reset does not reallocate slot arrays or beat lines: ranges are
-    // identical, so re-registration must not leak region slots.
-    unregisterProfRegions();
-    registerProfRegions();
-    wedged_ = false;
-    devState_ = DevState::Running;
-    runGate_.notifyAll();
-    for (auto &qp : queues_)
-        qp->wireDrained.notifyAll();
-    co_return;
-}
-
-sim::Coro<int>
-PioNic::allocBufs(int q, std::uint32_t size, PacketBuf **bufs, int count)
+void
+PioNic::rewindQueue(int q)
 {
     Queue &queue = *queues_[q];
-    co_await sim_.delay(
-        cycles(cfg_.hostCosts.perAllocFree * std::max(1, count / 8)));
-    int got = co_await pool_->allocBurst(queue.hostAgent, size, bufs,
-                                         count, q);
-    for (int i = 0; i < got; ++i) {
-        bufs[i]->tp = {};
-        bufs[i]->span.clear();
-    }
-    co_return got;
-}
+    // Pending credit flushes reference slots the sweep freed; drop
+    // them (the entries carry no buffers).
+    (void)queue.rxCreditPending.take(/*timeout_flush=*/true);
+    (void)queue.txCreditPending.take(/*timeout_flush=*/true);
 
-sim::Coro<void>
-PioNic::freeBufs(int q, PacketBuf **bufs, int count)
-{
-    Queue &queue = *queues_[q];
-    co_await sim_.delay(
-        cycles(cfg_.hostCosts.perAllocFree * std::max(1, count / 8)));
-    co_await pool_->freeBurst(queue.hostAgent, bufs, count, q);
-    co_return;
+    queue.txProd = queue.txCons = 0;
+    queue.rxProd = queue.rxCons = 0;
+    queue.txSeq = queue.txSeqSeen = 0;
+    queue.rxSeq = queue.rxSeqSeen = 0;
 }
 
 sim::Coro<int>
@@ -462,19 +275,14 @@ PioNic::txBurst(int q, PacketBuf **bufs, int count)
         // Lifecycle spans: activate the 1-in-N sampled slot on
         // accepted buffers only.
         obs::SpanTable::global().maybeStart(b->span, sim_.now());
-        WirePacket msg{b->wireLen(), b->txTime, b->flowId, b->userData,
-                       1, b->src, b->dst};
-        msg.tp = b->tp;
         // The span rides in the slot from here; inline TX buffers are
         // recycled immediately and must not keep an active slot.
-        msg.span = b->span;
-        b->span.clear();
+        WirePacket msg = driver::wireFrom(*b, b->wireLen());
         const bool spilled = msg.len > inline_cap;
-        if (spilled) {
+        if (spilled)
             spills_++;
-            if (b->nextSeg)
-                msg.segments = 2;
-        }
+        else
+            msg.segments = 1; // The slot carries both segments inline.
         pending.push_back({idx, msg, spilled ? b : nullptr, b});
         spans.push_back({txLineOf(queue, idx), slotBytes()});
         idx++;
@@ -550,7 +358,7 @@ PioNic::devTxTask(int q)
         co_await devPortDelay();
         // Integrity gate: a poisoned or stale (torn/stuck) slot line
         // must not be trusted; park until it heals or the beat expires.
-        if (!co_await consumeGuard(line)) {
+        if (!co_await consumeGuard(line, slotBytes())) {
             co_await mem_.waitLineChangeUntil(
                 line, mem_.lineVersion(line),
                 sim_.now() + cfg_.beatPeriod);
@@ -831,10 +639,7 @@ PioNic::flushTxCredits(int q, bool idle_flush)
         idle_flush, queue.txProd - queue.txCons);
     if (entries.empty())
         co_return;
-    batchFlushTotal_++;
-    batchFlushes_.at(idle_flush ? "idle" : "full")++;
-    if (queue.batchOcc)
-        *queue.batchOcc += entries.size();
+    noteBatchFlush(q, idle_flush ? "idle" : "full", entries.size());
 
     std::vector<mem::CoherentSystem::Span> spans;
     std::vector<std::uint32_t> idxs;
@@ -864,10 +669,7 @@ PioNic::flushRxCredits(int q, bool timeout_flush)
         static_cast<std::uint32_t>(queue.rxInput.size()));
     if (entries.empty())
         co_return;
-    batchFlushTotal_++;
-    batchFlushes_.at(timeout_flush ? "timeout" : "full")++;
-    if (queue.batchOcc)
-        *queue.batchOcc += entries.size();
+    noteBatchFlush(q, timeout_flush ? "timeout" : "full", entries.size());
 
     std::vector<mem::CoherentSystem::Span> spans;
     std::vector<std::uint32_t> idxs;
@@ -918,7 +720,8 @@ PioNic::rxBurst(int q, PacketBuf **bufs, int count)
 
     // Integrity gate on the consumer slot line: a poisoned or stale
     // view must not be trusted; retry on the next poll.
-    if (!co_await consumeGuard(rxLineOf(queue, queue.rxCons)))
+    if (!co_await consumeGuard(rxLineOf(queue, queue.rxCons),
+                                slotBytes()))
         co_return 0;
 
     // Gather Ready slots (local spin: no charge while nothing new).

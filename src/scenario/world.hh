@@ -59,8 +59,6 @@ struct World
     obs::Sampler sampler;
     std::unique_ptr<driver::NicInterface> nic;
     ccnic::CcNic *ccnic = nullptr;   // Set when the NIC is a CcNic.
-    nic::PcieNic *pcie = nullptr;    // Set when the NIC is a PcieNic.
-    pio::PioNic *pio = nullptr;      // Set when the NIC is a PioNic.
 };
 
 /**
@@ -144,11 +142,9 @@ makePcieWorld(const mem::PlatformConfig &plat,
               const nic::NicParams &params, int queues)
 {
     auto w = std::make_unique<World>(plat);
-    auto n = std::make_unique<nic::PcieNic>(w->simv, w->system, params,
+    w->nic = std::make_unique<nic::PcieNic>(w->simv, w->system, params,
                                             queues, 0, w->rng);
-    w->pcie = n.get();
-    n->start();
-    w->nic = std::move(n);
+    w->nic->start();
     return w;
 }
 
@@ -158,12 +154,10 @@ makePioWorld(const mem::PlatformConfig &plat, const pio::Config &cfg,
              int host_socket = 0, int nic_socket = 1)
 {
     auto w = std::make_unique<World>(plat);
-    auto n = std::make_unique<pio::PioNic>(w->simv, w->system, cfg,
+    w->nic = std::make_unique<pio::PioNic>(w->simv, w->system, cfg,
                                            host_socket, nic_socket,
                                            w->rng);
-    w->pio = n.get();
-    n->start();
-    w->nic = std::move(n);
+    w->nic->start();
     return w;
 }
 
@@ -321,9 +315,6 @@ struct HostWorld
     mem::CoherentSystem system;
     sim::Rng rng;
     std::unique_ptr<driver::NicInterface> nic;
-    ccnic::CcNic *ccnic = nullptr;
-    nic::PcieNic *pcie = nullptr;
-    pio::PioNic *pio = nullptr;
 };
 
 /**
@@ -344,35 +335,27 @@ makeHost(sim::Simulator &sim, const std::string &key,
                        : ccnic::unoptimizedConfig(queues, 0, plat);
         cfg.loopback = false;
         cfg.batch = bp;
-        auto n = std::make_unique<ccnic::CcNic>(sim, w->system, cfg, 0,
+        w->nic = std::make_unique<ccnic::CcNic>(sim, w->system, cfg, 0,
                                                 1, w->rng);
-        w->ccnic = n.get();
-        n->start();
-        w->nic = std::move(n);
     } else if (key == "pcie_e810" || key == "pcie_cx6") {
         nic::NicParams params = key == "pcie_e810"
                                     ? nic::e810Params()
                                     : nic::cx6Params();
         params.batch = bp;
-        auto n = std::make_unique<nic::PcieNic>(sim, w->system, params,
+        w->nic = std::make_unique<nic::PcieNic>(sim, w->system, params,
                                                 queues, 0, w->rng);
-        w->pcie = n.get();
-        n->start();
-        w->nic = std::move(n);
     } else if (key == "pio" || key == "pio_cxl") {
         auto cfg = key == "pio" ? pio::upiConfig(queues, 0, plat)
                                 : pio::cxlConfig(queues, 0, plat);
         cfg.loopback = false;
         cfg.batch = bp;
-        auto n = std::make_unique<pio::PioNic>(sim, w->system, cfg, 0,
+        w->nic = std::make_unique<pio::PioNic>(sim, w->system, cfg, 0,
                                                1, w->rng);
-        w->pio = n.get();
-        n->start();
-        w->nic = std::move(n);
     } else {
         throw std::invalid_argument("unknown interface family: " +
                                     key);
     }
+    w->nic->start();
     return w;
 }
 
@@ -380,13 +363,7 @@ makeHost(sim::Simulator &sim, const std::string &key,
 inline net::NicPortHooks
 hostHooks(HostWorld &w)
 {
-    if (w.ccnic)
-        return net::hooksFor(*w.ccnic);
-    if (w.pcie)
-        return net::hooksFor(*w.pcie);
-    if (w.pio)
-        return net::hooksFor(*w.pio);
-    throw std::logic_error("host has no NIC attached");
+    return net::hooksFor(*w.nic);
 }
 
 /** Run one loopback point in a fresh world built by @p factory. */

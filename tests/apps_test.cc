@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/kvstore.hh"
+#include "ccnic/ccnic.hh"
 #include "apps/tcprpc.hh"
 #include "mem/platform.hh"
 #include "nic/pcie_nic.hh"
@@ -38,15 +39,7 @@ apps::KvResult
 runKv(CcWorld &w, apps::KvConfig cfg)
 {
     apps::WireModel wire(w.simv, 76e6, 25e9);
-    return apps::runKvStore(
-        w.simv, w.system, *w.nic,
-        [&](int q, const ccnic::WirePacket &p) {
-            w.nic->injectRx(q, p);
-        },
-        [&](std::function<void(int, const ccnic::WirePacket &)> s) {
-            w.nic->setTxSink(std::move(s));
-        },
-        wire, cfg);
+    return apps::runKvStore(w.simv, w.system, *w.nic, wire, cfg);
 }
 
 TEST(KvStore, ServesRequestsUnderModestLoad)
@@ -116,16 +109,7 @@ TEST(TcpRpc, FastPathThreadsScaleThroughput)
         cfg.fastPathThreads = threads;
         cfg.offeredOps = 80e6;
         cfg.window = sim::fromUs(150.0);
-        return apps::runTcpRpc(
-                   w.simv, w.system, *w.nic,
-                   [&](int q, const ccnic::WirePacket &p) {
-                       w.nic->injectRx(q, p);
-                   },
-                   [&](std::function<void(
-                           int, const ccnic::WirePacket &)> s) {
-                       w.nic->setTxSink(std::move(s));
-                   },
-                   wire, cfg)
+        return apps::runTcpRpc(w.simv, w.system, *w.nic, wire, cfg)
             .mopsPerSec;
     };
     const double one = run(1);

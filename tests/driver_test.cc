@@ -82,8 +82,9 @@ TEST(Mempool, SmallBuffersDisabledFallsBackToLarge)
     f.run([&]() -> sim::Coro<void> {
         PacketBuf *b = co_await f.pool->alloc(f.host, 64);
         EXPECT_NE(b, nullptr);
-        if (b)
+        if (b) {
             EXPECT_EQ(b->cls, BufClass::Large);
+        }
         co_return;
     });
 }
