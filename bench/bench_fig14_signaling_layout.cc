@@ -34,9 +34,10 @@ main(int argc, char **argv)
 {
     const auto opts = bench::BenchOptions::parse(argc, argv);
     // Profile every variant: the distinct regionTag per layout lets
-    // the ping-pong detector (and tools/c2c_report.py --check-fig14)
-    // show that packed 16B descriptor lines thrash while the grouped
-    // 4+1 layout's intended two-way lines do not.
+    // the ping-pong detector (and the coherence block of
+    // bench/baselines/fig14_signaling_layout.json) show that packed
+    // 16B descriptor lines thrash while the grouped 4+1 layout's
+    // intended two-way lines do not.
     obs::CoherenceProfiler::setDefaultEnabled(true);
     stats::JsonReport json("fig14_signaling_layout");
     auto spr = mem::sprConfig();

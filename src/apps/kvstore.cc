@@ -19,7 +19,7 @@ constexpr int kBurst = 32;
 struct KvServer::State
 {
     State(mem::CoherentSystem &m, const KvConfig &cfg, sim::Rng &rng)
-        : zipf(cfg.numObjects, cfg.zipf), msys(&m)
+        : zipf(cfg.numObjects, cfg.zipf)
     {
         // Hash index: open-addressed 8B entries, 2x objects.
         indexBase = m.alloc(0, cfg.numObjects * 2 * 8, 4096);
@@ -48,17 +48,10 @@ struct KvServer::State
         }
     }
 
-    ~State()
-    {
-        for (auto id : profRegions)
-            msys->profiler().unregisterRegion(id);
-    }
-
     State(const State &) = delete;
     State &operator=(const State &) = delete;
 
     workload::ZipfSampler zipf;
-    mem::CoherentSystem *msys;
     std::vector<obs::RegionId> profRegions;
     Addr indexBase = 0;
     std::uint64_t indexMask = 0;
@@ -267,10 +260,17 @@ clientGen(sim::Simulator &sim, driver::NicInterface &nic,
 
 KvServer::KvServer(mem::CoherentSystem &m, const KvConfig &cfg,
                    sim::Rng &rng)
-    : st_(std::make_shared<State>(m, cfg, rng)), cfg_(cfg)
+    : st_(std::make_shared<State>(m, cfg, rng)), msys_(m), cfg_(cfg)
 {}
 
-KvServer::~KvServer() = default;
+KvServer::~KvServer()
+{
+    // Suspended server tasks may keep st_ alive until the simulator
+    // is destroyed, which can be after msys_; the regions belong to
+    // msys_, so drop them while it is certainly alive.
+    for (auto id : st_->profRegions)
+        msys_.profiler().unregisterRegion(id);
+}
 
 void
 KvServer::start(sim::Simulator &sim, mem::CoherentSystem &m,

@@ -82,13 +82,16 @@ struct KvResult
  * NicInterface. Responses are addressed back to the requester
  * (dst = request src), so the same server runs unchanged behind the
  * loopback measurement harness (runKvStore) and a network fabric
- * (workload/clientserver).
+ * (workload/clientserver). Must not outlive the CoherentSystem it
+ * was built on: destruction unregisters its profiler regions there.
  */
 class KvServer
 {
   public:
     KvServer(mem::CoherentSystem &m, const KvConfig &cfg, sim::Rng &rng);
     ~KvServer();
+    KvServer(const KvServer &) = delete;
+    KvServer &operator=(const KvServer &) = delete;
 
     /**
      * Spawn cfg.serverThreads polling threads on queues
@@ -120,6 +123,7 @@ class KvServer
 
   private:
     std::shared_ptr<State> st_;
+    mem::CoherentSystem &msys_;
     KvConfig cfg_;
 };
 

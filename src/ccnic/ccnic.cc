@@ -280,13 +280,20 @@ CcNic::reclaimSlots(int q)
     // slot's buffer has already changed hands (inline RX: the app
     // took it; inline TX: the NIC freed it), so only non-consumed
     // occupied slots are ring-owned. txShadow may alias TX slots
-    // (host-managed mode stores the buffer in both), so dedup.
-    std::unordered_set<PacketBuf *> uniq;
-    auto sweep = [&uniq](driver::DescRing &ring) {
+    // (host-managed mode stores the buffer in both), so dedup. The
+    // result keeps sweep order: freeing in host-address order would
+    // make the pool's free lists, and so the run, depend on ASLR.
+    std::vector<PacketBuf *> held;
+    std::unordered_set<PacketBuf *> seen;
+    auto keep = [&held, &seen](PacketBuf *b) {
+        if (b && seen.insert(b).second)
+            held.push_back(b);
+    };
+    auto sweep = [&keep](driver::DescRing &ring) {
         for (std::uint32_t i = 0; i < ring.entries(); ++i) {
             const auto &slot = ring.slot(i);
-            if (slot.buf && slot.meta != kConsumed)
-                uniq.insert(slot.buf);
+            if (slot.meta != kConsumed)
+                keep(slot.buf);
         }
         ring.clear();
     };
@@ -294,20 +301,16 @@ CcNic::reclaimSlots(int q)
     sweep(queue.rx);
     // Staged-but-unflushed publications never reached a slot, so
     // the ring sweep cannot see their buffers: reclaim them here.
-    for (const auto &e : queue.txPending.take(true)) {
-        if (e.buf)
-            uniq.insert(e.buf);
-    }
+    for (const auto &e : queue.txPending.take(true))
+        keep(e.buf);
     (void)queue.rxDevPending.take(true);
     for (PacketBuf *&b : queue.txShadow) {
-        if (b)
-            uniq.insert(b);
+        keep(b);
         b = nullptr;
     }
     // Drop wire-side packets queued into the dead device.
     queue.rxInput.clear();
-    // The set's order follows host addresses, so runs can differ.
-    return {uniq.begin(), uniq.end()};
+    return held;
 }
 
 void

@@ -108,7 +108,10 @@ jsonCell(const std::string &cell)
         if (end == cell.c_str() + cell.size() && std::isfinite(v))
             return cell;
     }
-    return "\"" + jsonEscape(cell) + "\"";
+    std::string out = "\"";
+    out += jsonEscape(cell);
+    out += '"';
+    return out;
 }
 
 /** Collects a bench run's tables and writes BENCH_<name>.json. */
@@ -130,18 +133,22 @@ class JsonReport
     std::string
     str() const
     {
-        std::string out = "{\n  \"bench\": \"" + jsonEscape(name_) +
-                          "\",\n  \"sections\": {";
+        std::string out = "{\n  \"bench\": \"";
+        out += jsonEscape(name_);
+        out += "\",\n  \"sections\": {";
         bool first_sec = true;
         for (const auto &[section, t] : sections_) {
             out += first_sec ? "\n" : ",\n";
             first_sec = false;
-            out += "    \"" + jsonEscape(section) +
-                   "\": {\n      \"columns\": [";
+            out += "    \"";
+            out += jsonEscape(section);
+            out += "\": {\n      \"columns\": [";
             const auto &headers = t.headers();
             for (std::size_t c = 0; c < headers.size(); ++c) {
                 out += c ? ", " : "";
-                out += "\"" + jsonEscape(headers[c]) + "\"";
+                out += '"';
+                out += jsonEscape(headers[c]);
+                out += '"';
             }
             out += "],\n      \"rows\": [";
             const auto &rows = t.rows();
@@ -150,8 +157,10 @@ class JsonReport
                 for (std::size_t c = 0;
                      c < rows[r].size() && c < headers.size(); ++c) {
                     out += c ? ", " : "";
-                    out += "\"" + jsonEscape(headers[c]) +
-                           "\": " + jsonCell(rows[r][c]);
+                    out += '"';
+                    out += jsonEscape(headers[c]);
+                    out += "\": ";
+                    out += jsonCell(rows[r][c]);
                 }
                 out += "}";
             }

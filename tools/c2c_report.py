@@ -21,13 +21,10 @@ Line classes (assigned by the in-simulator detector):
 Modes:
   c2c_report.py REPORT                      render the report
   c2c_report.py REPORT --diff OLD           diff two runs per region
-  c2c_report.py REPORT --check-attribution PREFIX --min 0.95
-        fail unless >= min of remote reads+RFOs resolve to named
-        regions, and at least one region matches PREFIX
-  c2c_report.py REPORT --check-fig14        fail unless the packed
-        16B descriptor layout's ring lines ping-pong (class thrash)
-        and the grouped 4+1 layout's do not
   c2c_report.py --selftest
+
+CI checks over these sections live in the bench baselines and run
+through tools/counters_gate.py.
 """
 
 import argparse
@@ -37,7 +34,10 @@ import sys
 
 def load(path: str) -> dict:
     with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+        return profiler_sections(json.load(f), path)
+
+
+def profiler_sections(doc: dict, path: str) -> dict:
     sections = doc.get("sections", {})
     missing = [s for s in ("coherence", "coherence_hotlines",
                            "coherence_matrix") if s not in sections]
@@ -153,96 +153,6 @@ def diff(sections: dict, old_sections: dict) -> None:
         print("no per-region differences")
 
 
-def check_attribution(sections: dict, prefix: str,
-                      min_frac: float) -> int:
-    regions = rows_of(sections, "coherence")
-    frac, attributed, total = attribution(regions)
-    named = [r for r in regions if r["region"].startswith(prefix)
-             and r["region"] != "unknown"]
-    print(f"attribution: {attributed}/{total} "
-          f"({100.0 * frac:.1f}%) resolved to named regions; "
-          f"{len(named)} region(s) match '{prefix}'")
-    failures = []
-    if total == 0:
-        failures.append("report recorded no remote reads/RFOs "
-                        "(profiler disabled?)")
-    if frac < min_frac:
-        failures.append(
-            f"attributed fraction {frac:.3f} below required "
-            f"{min_frac:.3f}")
-    if not named:
-        failures.append(f"no region matches prefix '{prefix}'")
-    for msg in failures:
-        print(f"FAIL: {msg}", file=sys.stderr)
-    if not failures:
-        print("attribution check passed")
-    return 1 if failures else 0
-
-
-def check_fig14(sections: dict) -> int:
-    """Packed descriptor lines must thrash; grouped must not.
-
-    The region table is authoritative (the hot-line table is capped
-    at top-N by traffic, and ring traffic spreads across hundreds of
-    lines): a pack16.* ring region must carry flagged ping-pong lines
-    under owner intent (the detector classes those thrash), while no
-    opt_grouped.* region may carry any. The hot-line table is checked
-    for consistency: any surfaced opt_grouped line classed thrash or
-    false_sharing fails.
-    """
-    regions = rows_of(sections, "coherence")
-    failures = []
-
-    pack_rings = [r for r in regions
-                  if r["region"].startswith("pack16.")
-                  and "ring" in r["region"]]
-    if not pack_rings:
-        failures.append("no pack16.* ring regions in report (run "
-                        "bench_fig14_signaling_layout)")
-    pack_pp = sum(r["pingpong_lines"] for r in pack_rings)
-    pack_owned = [r for r in pack_rings if r["intent"] == "owned"]
-    print(f"pack16 ring regions: {len(pack_rings)}, ping-pong lines: "
-          f"{pack_pp}")
-    if pack_rings and pack_pp == 0:
-        failures.append("packed 16B descriptor rings show no "
-                        "ping-pong lines; the detector or the packed "
-                        "layout model regressed")
-    if pack_rings and not pack_owned:
-        failures.append("pack16 rings are not owner-intent; packed "
-                        "layout must register as owned so flips "
-                        "class as thrash")
-
-    grouped = [r for r in regions
-               if r["region"].startswith("opt_grouped.")]
-    if not grouped:
-        failures.append("no opt_grouped.* regions in report")
-    grouped_pp = {r["region"]: r["pingpong_lines"] for r in grouped
-                  if r["pingpong_lines"] > 0}
-    print(f"opt_grouped regions: {len(grouped)}, with ping-pong: "
-          f"{sorted(grouped_pp) if grouped_pp else 'none'}")
-    if grouped_pp:
-        failures.append(
-            "grouped 4+1 layout shows ping-pong lines ("
-            + ", ".join(f"{k}={v}" for k, v in sorted(
-                grouped_pp.items())) + "); the grouped descriptor "
-            "layout regressed into thrashing")
-
-    for r in rows_of(sections, "coherence_hotlines"):
-        if r["region"].startswith("opt_grouped.") and \
-                r["class"] in ("thrash", "false_sharing"):
-            failures.append(
-                f"hot line {r['region']}+{r['offset']} classed "
-                f"{r['class']}; grouped layout lines must not "
-                "thrash")
-
-    for msg in failures:
-        print(f"FAIL: {msg}", file=sys.stderr)
-    if not failures:
-        print("fig14 ping-pong check passed: packed descriptor "
-              "lines thrash, grouped lines do not")
-    return 1 if failures else 0
-
-
 # ---------------------------------------------------------------------------
 # Self-test (registered as a ctest entry).
 
@@ -267,15 +177,10 @@ def _report(regions, hot=None, matrix=None) -> dict:
 
 
 def selftest() -> int:
-    import os
-    import tempfile
-
     good = _report([
         _region("ccnic.tx_ring[q0]", "two_way", rr=1000, rfo=500),
         _region("pack16.tx_ring[q0]", "owned", rr=900, rfo=700,
                 pp=12),
-        _region("opt_grouped.tx_ring[q0]", "two_way", rr=800,
-                rfo=400, pp=0),
         _region("unknown", "-", rr=10, rfo=5),
     ], hot=[{"rank": 1, "region": "pack16.tx_ring[q0]", "offset": 64,
              "remote_reads": 90, "remote_rfos": 70,
@@ -285,77 +190,20 @@ def selftest() -> int:
        matrix=[{"region": "ccnic.tx_ring[q0]", "requester": 0,
                 "supplier": 1, "reads": 1000, "rfos": 500,
                 "bytes": 96000}])
+    secs = profiler_sections(good, "good")
+    render(secs)  # must not raise
+    diff(secs, secs)
+    diff(secs, profiler_sections(_report([]), "empty"))
 
-    with tempfile.TemporaryDirectory() as td:
-        gp = os.path.join(td, "good.json")
-        with open(gp, "w", encoding="utf-8") as f:
-            json.dump(good, f)
-        secs = load(gp)
-        render(secs)  # must not raise
-        diff(secs, secs)
-
-        if check_attribution(secs, "ccnic.", 0.95) != 0:
-            print("SELFTEST FAIL: good attribution rejected",
-                  file=sys.stderr)
-            return 1
-        # 10+5 of 4315 unattributed (~0.3%); requiring 99.9% fails.
-        if check_attribution(secs, "ccnic.", 0.999) == 0:
-            print("SELFTEST FAIL: low attribution passed",
-                  file=sys.stderr)
-            return 1
-        if check_attribution(secs, "nosuch.", 0.5) == 0:
-            print("SELFTEST FAIL: absent prefix passed",
-                  file=sys.stderr)
-            return 1
-        if check_fig14(secs) != 0:
-            print("SELFTEST FAIL: good fig14 layout rejected",
-                  file=sys.stderr)
-            return 1
-
-        # Grouped layout thrashing must fail the fig14 check.
-        bad = _report([
-            _region("pack16.tx_ring[q0]", "owned", rr=900, rfo=700,
-                    pp=12),
-            _region("opt_grouped.tx_ring[q0]", "two_way", rr=800,
-                    rfo=400, pp=3),
-            _region("unknown", "-"),
-        ])
-        bp = os.path.join(td, "bad.json")
-        with open(bp, "w", encoding="utf-8") as f:
-            json.dump(bad, f)
-        if check_fig14(load(bp)) == 0:
-            print("SELFTEST FAIL: thrashing grouped layout passed",
-                  file=sys.stderr)
-            return 1
-
-        # Packed layout without ping-pong means the detector died.
-        dead = _report([
-            _region("pack16.tx_ring[q0]", "owned", rr=900, rfo=700,
-                    pp=0),
-            _region("opt_grouped.tx_ring[q0]", "two_way", rr=800,
-                    rfo=400, pp=0),
-            _region("unknown", "-"),
-        ])
-        dp = os.path.join(td, "dead.json")
-        with open(dp, "w", encoding="utf-8") as f:
-            json.dump(dead, f)
-        if check_fig14(load(dp)) == 0:
-            print("SELFTEST FAIL: detector-dead report passed",
-                  file=sys.stderr)
-            return 1
-
-        # A report missing the profiler sections must fail loudly.
-        mp = os.path.join(td, "missing.json")
-        with open(mp, "w", encoding="utf-8") as f:
-            json.dump({"bench": "x", "sections": {}}, f)
-        try:
-            load(mp)
-        except SystemExit:
-            pass
-        else:
-            print("SELFTEST FAIL: sectionless report accepted",
-                  file=sys.stderr)
-            return 1
+    # A report missing the profiler sections must fail loudly.
+    try:
+        profiler_sections({"bench": "x", "sections": {}}, "missing")
+    except SystemExit:
+        pass
+    else:
+        print("SELFTEST FAIL: sectionless report accepted",
+              file=sys.stderr)
+        return 1
 
     print("c2c report selftest passed")
     return 0
@@ -367,16 +215,6 @@ def main() -> int:
     ap.add_argument("--diff", metavar="OLD",
                     help="second report to diff per-region traffic "
                          "against")
-    ap.add_argument("--check-attribution", metavar="PREFIX",
-                    help="verify attribution and that PREFIX-named "
-                         "regions are present; exit nonzero on "
-                         "failure")
-    ap.add_argument("--min", type=float, default=0.95,
-                    help="minimum attributed fraction for "
-                         "--check-attribution (default 0.95)")
-    ap.add_argument("--check-fig14", action="store_true",
-                    help="verify packed descriptor lines thrash and "
-                         "grouped lines do not")
     ap.add_argument("--selftest", action="store_true")
     args = ap.parse_args()
 
@@ -386,15 +224,6 @@ def main() -> int:
         ap.error("report path required (or use --selftest)")
 
     sections = load(args.report)
-    rc = 0
-    if args.check_attribution:
-        rc |= check_attribution(sections, args.check_attribution,
-                                args.min)
-    if args.check_fig14:
-        rc |= check_fig14(sections)
-    if args.check_attribution or args.check_fig14:
-        return rc
-
     if args.diff:
         diff(sections, load(args.diff))
     else:

@@ -1,1085 +1,643 @@
 #!/usr/bin/env python3
-"""CI gate over bench counter snapshots.
+"""CI gate over a bench or scenario report, driven by its baseline.
 
-Reads a bench JSON report and checks one counter-snapshot section
-(--section, default "counters_lossfree" for bench_fabric_kvstore;
-bench_fig11_overview gates its plain "counters" section) against
-built-in invariants plus (optionally) a checked-in baseline:
+Every check the gate runs is stated in the baseline file; nothing
+depends on which bench made the report.
 
- 1. Zero retransmissions on a loss-free fabric. transport.retransmits
-    and transport.fast_retransmits firing without wire loss means the
-    RTO estimator or the SACK scoreboard regressed.
+    counters_gate.py REPORT --baseline BASELINE      gate a report
+    counters_gate.py REPORT --write-baseline OUT     record a baseline
+    counters_gate.py --selftest
 
- 2. Signaling efficiency: ccnic.signal_reads per delivered packet must
-    stay under a checked-in bound. The CC-NIC data plane's value is
-    dominated by idle-poll reads of quiescent signal lines (cheap LLC
-    hits, but each is a coherence transaction); a jump in this ratio
-    means someone broke the single-line signaling discipline or made a
-    poll loop spin faster.
+Baseline schema (bench/baselines/<name>.json; "section", "normalize_by"
+and "tolerance" are required, and any other top-level key fails):
 
- 3. Rate check: the "timeseries_lossfree" section (periodic sampler
-    deltas) must show zero retransmit deltas in every interval — an
-    end-of-run total of zero can hide a retransmit burst cancelled by
-    a Registry reset, the per-interval deltas cannot.
+  "section"       Counter-snapshot section to gate: rows with
+                  counter/kind/value columns ("counters", or
+                  bench_fabric_kvstore's "counters_lossfree").
+  "normalize_by"  Delivered-packet counter the per-packet bands divide
+                  by. Must be present and nonzero in the report.
+  "tolerance"     Relative band width, e.g. 0.25.
+  "per_packet"    {counter: expected}. counter / normalize_by must not
+                  exceed expected * (1 + tolerance). An entry may be
+                  {"expected": X, "normalize_by": "other.counter"} to
+                  divide by another family's packet count. A gauge here
+                  is a config error: high-water marks are not rates.
+  "zero"          [counter]. Must be zero (or absent) in the snapshot,
+                  and every metric of the matching time-series section
+                  ("counters*" -> "timeseries*") that starts with the
+                  name must have a zero delta in every interval, so a
+                  burst hidden by a registry reset still fails. A
+                  nonempty list requires that time-series section.
+                  Loss-free baselines list the retransmit and fault-drop
+                  counters and watchdog.escalations{stage=retry|reset|
+                  failover}; lossy baselines omit them.
+  "absolute"      {counter: expected}. The raw count must not exceed
+                  expected * (1 + tolerance); an absent counter is zero.
+                  Chaos runs band their escalation counts here.
+  "coherence"     Checks over the profiler's "coherence" section:
+      "normalize_by", "tolerance"   default to the top-level values.
+      "min_attribution"  Fraction of remote reads+RFOs that must
+                         resolve to named (non-"unknown") regions.
+      "regions"  {prefix: bands}. Regions whose name starts with the
+                 prefix are summed, and at least one must match (so an
+                 empty band object only requires the prefix). Bands:
+                 remote_reads, remote_rfos, invalidations, migratory,
+                 bytes (per packet, like "per_packet"); max_pingpong and
+                 min_pingpong (summed ping-pong line count).
+  "rows"          [{"section": S, "where": {col: v}, "expect": {col: v}}].
+                  Section S has a row whose columns equal every `where`
+                  value, and every such row equals every `expect` value
+                  (omit "expect" to require only the row). Benches state their verdicts as rows, e.g.
+                  {"metric": "PIO beats ring-over-PCIe", "value": "yes"}.
 
- 4. Baseline diff (--baseline FILE): per-packet-normalized expected
-    counter values with a tolerance band. Counters listed under
-    "per_packet" are divided by the "normalize_by" counter and
-    compared against the recorded expectation; an increase beyond
-    (1 + tolerance) fails. An entry may also be an object
-    {"expected": X, "normalize_by": "other.counter"} to normalize by
-    a different counter — multi-interface benches normalize each
-    family's counters by that family's own delivered-packet count.
-    Gauges are never normalized per-packet: a gauge appearing in
-    "per_packet" is a config error, and rows are classified by the
-    "kind" column of the snapshot. Metrics under "zero" must be
-    exactly zero. Metrics under "absolute" are raw (unnormalized)
-    event counts banded as actual <= expected * (1 + tolerance) —
-    used for watchdog.escalations{stage=...}: a chaos run's recovery
-    count tracks the injected-fault count, not the packet count.
-
- 5. Recovery escalations must not fire on a loss-free run: any
-    nonzero watchdog.escalations{stage=...} counter fails the gate
-    unless the run is lossy. A fault-free workload that trips the
-    watchdog means spurious stall detection or integrity
-    false-positives regressed. Lossy baselines instead band the
-    escalation counts via "absolute".
-
- 6. Per-region coherence bands (baseline key "coherence"): when the
-    report carries the profiler's "coherence" section, region rows
-    are aggregated by name prefix ("ccnic." matches
-    ccnic.tx_ring[q0], ccnic.host_beat, ...) and each listed metric
-    (remote_reads / remote_rfos / invalidations / migratory / bytes)
-    is normalized per delivered packet and banded against the
-    recorded expectation, exactly like "per_packet" counters. The
-    optional "min_attribution" field requires that at least that
-    fraction of remote reads+RFOs resolve to a named region (the
-    "unknown" row holds the rest); "max_pingpong" pins the ping-pong
-    line count of a prefix (accidental false sharing creeping into a
-    region that should stay quiet).
-
-The rate check (3) looks for the time-series section whose name
-derives from the counter section's ("counters*" -> "timeseries*").
-
-Regenerate the baseline after an intentional perf change with
---write-baseline (then eyeball the diff before committing):
+--write-baseline records section, normalize_by, tolerance, per_packet
+and coherence bands from the report, puts each loss or escalation
+counter under "zero" when it is zero and under "absolute" otherwise.
+It writes no "rows", "min_pingpong" or band-less prefixes, so re-add
+those from the diff before committing it:
 
     build/bench/bench_fabric_kvstore          # with CCN_JSON_DIR set
-    tools/counters_gate.py BENCH_fabric_kvstore.json \
+    tools/counters_gate.py BENCH_fabric_kvstore.json \\
         --write-baseline bench/baselines/fabric_kvstore.json
-
-Usage: counters_gate.py <BENCH_fabric_kvstore.json>
-           [--max-signal-reads-per-pkt N]
-           [--baseline bench/baselines/fabric_kvstore.json]
-           [--tolerance T] [--write-baseline OUT]
-       counters_gate.py --selftest
 """
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 
-# Measured ~6.7 signal reads per delivered packet on the reference run
-# (idle-poll reads across 6 queue pairs dominate; the per-packet data
-# path costs ~2). The bound leaves generous headroom for scheduling
-# jitter across platforms while still catching a regression that makes
-# a poll loop spin per-packet (an order-of-magnitude jump).
-DEFAULT_MAX_SIGNAL_READS_PER_PKT = 32.0
+BASELINE_KEYS = {"section", "normalize_by", "tolerance", "per_packet",
+                 "zero", "absolute", "coherence", "rows"}
 
-# Default tolerance band for baseline per-packet comparisons: the
-# simulator is deterministic, but baseline values are normalized
-# ratios and small shifts (batch boundaries, drain-phase length) move
-# them by a few percent across legitimate changes.
-DEFAULT_TOLERANCE = 0.25
+COHERENCE_METRICS = ["remote_reads", "remote_rfos", "invalidations",
+                     "migratory", "bytes"]
 
-# Default counter-snapshot section to gate (bench_fabric_kvstore's
-# loss-free snapshot); override with --section for other benches.
-DEFAULT_SECTION = "counters_lossfree"
+# --write-baseline only: counters whose per-packet cost it records, as
+# (counter, normalizer) pairs (None: the top-level "normalize_by").
+BASELINE_TRACKED = [(n, None) for n in (
+    "ccnic.signal_reads", "ccnic.signal_writes", "ccnic.tx_packets",
+    "pool.allocs", "pool.frees", "mem.remote_reads", "mem.remote_rfos",
+)] + [(n, "pio.rx_delivered") for n in (
+    "pio.slot_polls", "pio.slot_writes", "pio.tx_packets")]
 
-# Counters whose per-packet cost the baseline tracks by default when
-# writing one, as (counter, normalizer) pairs — None means the
-# baseline's top-level "normalize_by". Chosen to cover the interface
-# mechanisms the paper measures: ring signaling, descriptor/doorbell
-# traffic, buffer pool churn, coherence transactions, and the PIO
-# family's slot-metadata signaling.
-BASELINE_TRACKED = [
-    ("ccnic.signal_reads", None),
-    ("ccnic.signal_writes", None),
-    ("ccnic.tx_packets", None),
-    ("pool.allocs", None),
-    ("pool.frees", None),
-    ("mem.remote_reads", None),
-    ("mem.remote_rfos", None),
-    ("pio.slot_polls", "pio.rx_delivered"),
-    ("pio.slot_writes", "pio.rx_delivered"),
-    ("pio.tx_packets", "pio.rx_delivered"),
-]
+# --write-baseline only: per-family delivered-packet counters, tried in
+# order for "normalize_by".
+FAMILY_NORMALIZERS = ["ccnic.rx_delivered", "pio.rx_delivered",
+                      "pcie_nic.tx_packets"]
 
-# Per-family delivered-packet counters, in preference order. The
-# baseline normalizer falls back down this list, so a report from a
-# single-family bench (e.g. a PIO-only run) can still be gated and
-# baselined instead of hard-failing on the absent ccnic counter.
-FAMILY_NORMALIZERS = [
-    "ccnic.rx_delivered",
-    "pio.rx_delivered",
-    "pcie_nic.tx_packets",
-]
-
-
-def pick_normalizer(c: dict):
-    """First family delivered-counter present and nonzero, or None."""
-    for name in FAMILY_NORMALIZERS:
-        if c.get(name, 0.0) > 0:
-            return name
-    return None
-
-
-def families_present(c: dict) -> str:
-    """Which family delivered-counters the report carries (diag)."""
-    present = [n for n in FAMILY_NORMALIZERS if n in c]
-    return ", ".join(present) if present else "none"
-
-
-BASELINE_ZERO = [
+# --write-baseline only: counters that are zero on a loss-free run.
+LOSS_COUNTERS = [
     "transport.retransmits",
     "transport.fast_retransmits",
     "transport.timeouts",
     "transport.aborts",
     "net.link.fault_drops",
     "net.link.down_drops",
+    "watchdog.escalations{stage=retry}",
+    "watchdog.escalations{stage=reset}",
+    "watchdog.escalations{stage=failover}",
 ]
 
-# Labeled recovery-escalation counters: watchdog.escalations{stage=X}
-# for X in retry/reset/failover. Zero-cost when nothing fired (the
-# labeled children only register on first increment), so a loss-free
-# run simply has no such rows — any present-and-nonzero one is a
-# regression. Lossy baselines band them with "absolute" instead.
-ESCALATION_PREFIX = "watchdog.escalations{"
+
+def load_json(path: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except OSError as e:
+        raise SystemExit(f"FAIL: {e}")
 
 
-def escalation_counters(c: dict) -> dict:
-    """The watchdog escalation-stage counters present in a snapshot."""
-    return {k: v for k, v in c.items()
-            if k.startswith(ESCALATION_PREFIX)}
-
-
-def load_sections(path: str) -> dict:
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    return doc["sections"]
-
-
-def counters_of(sections: dict, section: str, path: str):
+def counters_of(section: dict):
     """Return ({name: value}, {name: kind}) for a snapshot section."""
-    sec = sections.get(section)
-    if sec is None:
-        raise SystemExit(
-            f"FAIL: section '{section}' missing from {path}")
     values, kinds = {}, {}
-    for row in sec["rows"]:
+    for row in section["rows"]:
         values[row["counter"]] = float(row["value"])
-        # Older reports lack the kind column; treat those as counters.
         kinds[row["counter"]] = row.get("kind", "counter")
     return values, kinds
 
 
-def check_invariants(c: dict, max_reads_per_pkt: float,
-                     failures: list, lossy: bool = False) -> None:
-    rtx = c.get("transport.retransmits", 0.0)
-    frtx = c.get("transport.fast_retransmits", 0.0)
-    if lossy:
-        # Runs that inject wire loss / faults retransmit by design;
-        # the efficiency invariants below still apply.
-        print(f"lossy run: retransmits={rtx:.0f} "
-              f"fast_retransmits={frtx:.0f} (allowed)")
-    elif rtx + frtx > 0:
+def band(failures: list, label: str, actual: float, expected: float,
+         tol: float, unit: str) -> None:
+    """Fail when actual exceeds expected * (1 + tol)."""
+    bound = expected * (1.0 + tol)
+    verdict = "ok"
+    if actual > bound:
+        verdict = "REGRESSED"
         failures.append(
-            f"loss-free run retransmitted: transport.retransmits="
-            f"{rtx:.0f} transport.fast_retransmits={frtx:.0f}")
+            f"{label}: {actual:.4f} {unit} exceeds baseline "
+            f"{expected:.4f} (+{tol * 100:.0f}% tolerance = "
+            f"{bound:.4f})")
+    elif actual < expected * (1.0 - tol):
+        verdict = "improved (consider refreshing baseline)"
+    print(f"baseline {label}: {actual:.4f} vs {expected:.4f} {unit} "
+          f"-> {verdict}")
 
-    # Recovery escalations on a loss-free run mean the watchdog fired
-    # with no fault injected: spurious stall detection, integrity
-    # false positives, or a runaway reset loop.
-    esc = {k: v for k, v in escalation_counters(c).items() if v > 0}
-    if esc:
-        desc = " ".join(f"{k}={v:.0f}" for k, v in sorted(esc.items()))
-        if lossy:
-            print(f"lossy run: escalations allowed ({desc})")
-        else:
+
+def check_counters(sections: dict, baseline: dict, failures: list):
+    """Gate the snapshot section; return its counters (None if absent)."""
+    name = baseline["section"]
+    if name not in sections:
+        failures.append(f"section '{name}' missing from report")
+        return None
+    c, kinds = counters_of(sections[name])
+    tol = float(baseline["tolerance"])
+    norm_name = baseline["normalize_by"]
+    per_packet = baseline.get("per_packet", {})
+    if c.get(norm_name, 0.0) <= 0:
+        failures.append(f"normalizer '{norm_name}' missing or zero")
+        per_packet = {}
+    for counter, entry in per_packet.items():
+        if kinds.get(counter) == "gauge":
             failures.append(
-                f"loss-free run escalated recovery: {desc}")
-
-    # Signaling-efficiency invariants apply per family, each only
-    # when that family actually delivered packets; a report from a
-    # single-family bench must not fail on the families it never ran.
-    if pick_normalizer(c) is None:
-        failures.append(
-            "no interface family delivered packets (looked for "
-            + ", ".join(FAMILY_NORMALIZERS) + "; present: "
-            + families_present(c) + ")")
-
-    reads = c.get("ccnic.signal_reads")
-    delivered = c.get("ccnic.rx_delivered", 0.0)
-    if delivered > 0:
-        if reads is None:
-            failures.append(
-                "ccnic.signal_reads missing despite "
-                f"ccnic.rx_delivered={delivered:.0f}")
-        else:
-            ratio = reads / delivered
-            print(f"signal reads per delivered packet: {ratio:.2f} "
-                  f"(bound {max_reads_per_pkt})")
-            if ratio > max_reads_per_pkt:
-                failures.append(
-                    f"signaling efficiency regressed: {ratio:.2f} "
-                    f"signal reads per packet > bound "
-                    f"{max_reads_per_pkt}")
-
-    # The PIO family's analogue of the signaling discipline: slot
-    # polls per delivered packet. Only checked when the section came
-    # from a bench that ran a PIO interface.
-    polls = c.get("pio.slot_polls")
-    pio_delivered = c.get("pio.rx_delivered", 0.0)
-    if polls is not None and pio_delivered > 0:
-        ratio = polls / pio_delivered
-        print(f"pio slot polls per delivered packet: {ratio:.2f} "
-              f"(bound {max_reads_per_pkt})")
-        if ratio > max_reads_per_pkt:
-            failures.append(
-                f"PIO signaling efficiency regressed: {ratio:.2f} "
-                f"slot polls per packet > bound {max_reads_per_pkt}")
-
-
-def check_timeseries(sections: dict, section: str,
-                     failures: list, lossy: bool = False) -> None:
-    ts_name = section.replace("counters", "timeseries", 1)
-    if lossy:
-        # Retransmit rates are expected under injected loss.
-        print(f"{ts_name}: retransmit-rate checks skipped "
-              "(lossy run)")
-        return
-    sec = sections.get(ts_name)
-    if sec is None:
-        # Reports predating the sampler: nothing to rate-check.
-        print(f"{ts_name} absent; skipping rate checks")
-        return
-    bad = 0
-    for row in sec["rows"]:
-        metric = row["metric"]
-        if metric.startswith("transport.retransmits") or \
-                metric.startswith("transport.fast_retransmits"):
-            if float(row["delta"]) > 0:
-                bad += 1
-    print(f"{ts_name}: {len(sec['rows'])} rows, "
-          f"{bad} retransmit-rate violations")
-    if bad:
-        failures.append(
-            f"loss-free timeseries shows {bad} sampling interval(s) "
-            "with a nonzero retransmit rate")
-
-
-def check_baseline(c: dict, kinds: dict, baseline: dict,
-                   tolerance: float, failures: list) -> None:
-    norm_name = baseline.get("normalize_by")
-    if norm_name is None:
-        norm_name = pick_normalizer(c)
-        if norm_name is None:
-            failures.append(
-                "baseline has no 'normalize_by' and no family "
-                "delivered-packet counter is present (families in "
-                f"report: {families_present(c)})")
-            return
-        print(f"baseline normalizer defaulted to {norm_name}")
-    norm = c.get(norm_name, 0.0)
-    if norm <= 0:
-        failures.append(
-            f"baseline normalizer '{norm_name}' missing or zero "
-            f"(families present: {families_present(c)})")
-        return
-    tol = baseline.get("tolerance", tolerance)
-
-    for name, entry in baseline.get("per_packet", {}).items():
-        if kinds.get(name) == "gauge":
-            failures.append(
-                f"baseline lists gauge '{name}' under per_packet; "
-                "gauges are high-water marks and must not be "
-                "normalized per packet")
+                f"baseline lists gauge '{counter}' under per_packet; "
+                "gauges are high-water marks, not per-packet rates")
             continue
-        # Entries are either a bare expectation (normalized by the
-        # top-level counter) or {"expected", "normalize_by"} for
-        # counters that track a different interface's packet count.
+        this_norm = norm_name
         if isinstance(entry, dict):
-            expected = float(entry["expected"])
-            this_norm = c.get(entry["normalize_by"], 0.0)
-            if this_norm <= 0:
-                failures.append(
-                    f"baseline normalizer '{entry['normalize_by']}' "
-                    f"for '{name}' missing or zero")
-                continue
-        else:
-            expected = float(entry)
-            this_norm = norm
-        actual = c.get(name)
-        if actual is None:
-            failures.append(f"baseline counter '{name}' missing "
+            this_norm = entry["normalize_by"]
+            entry = entry["expected"]
+        if c.get(this_norm, 0.0) <= 0:
+            failures.append(f"normalizer '{this_norm}' for '{counter}' "
+                            "missing or zero")
+        elif counter not in c:
+            failures.append(f"baseline counter '{counter}' missing "
                             "from report")
-            continue
-        per_pkt = actual / this_norm
-        bound = expected * (1.0 + tol)
-        verdict = "ok"
-        if per_pkt > bound:
-            verdict = "REGRESSED"
-            failures.append(
-                f"{name}: {per_pkt:.4f} per packet exceeds baseline "
-                f"{expected:.4f} (+{tol * 100:.0f}% tolerance = "
-                f"{bound:.4f})")
-        elif per_pkt < expected * (1.0 - tol):
-            verdict = "improved (consider refreshing baseline)"
-        print(f"baseline {name}: {per_pkt:.4f}/pkt vs "
-              f"{expected:.4f}/pkt -> {verdict}")
-
-    for name in baseline.get("zero", []):
-        v = c.get(name, 0.0)
-        if v != 0:
-            failures.append(
-                f"{name} expected to be zero, got {v:.0f}")
-
-    # Absolute bands: raw event counts (no normalization) that must
-    # not exceed expected * (1 + tolerance). Deterministic chaos runs
-    # record watchdog.escalations{stage=...} here — escalations track
-    # the injected-fault count, so a blowup means the recovery ladder
-    # is thrashing (e.g. a reset storm), while an absent counter is
-    # simply zero events and always within band.
-    for name, entry in baseline.get("absolute", {}).items():
-        expected = float(entry)
-        actual = c.get(name, 0.0)
-        bound = expected * (1.0 + tol)
-        verdict = "ok"
-        if actual > bound:
-            verdict = "REGRESSED"
-            failures.append(
-                f"{name}: {actual:.0f} events exceed baseline "
-                f"{expected:.0f} (+{tol * 100:.0f}% tolerance = "
-                f"{bound:.1f})")
-        print(f"baseline {name}: {actual:.0f} vs {expected:.0f} "
-              f"events -> {verdict}")
-
-
-def coherence_rows(sections: dict):
-    """Rows of the profiler's per-region section, or None."""
-    sec = sections.get("coherence")
-    return None if sec is None else sec["rows"]
-
-
-COHERENCE_METRICS = ["remote_reads", "remote_rfos", "invalidations",
-                     "migratory", "bytes"]
-
-
-def aggregate_regions(rows: list, prefix: str) -> dict:
-    """Sum the per-region metrics over regions matching a prefix."""
-    agg = {m: 0.0 for m in COHERENCE_METRICS}
-    agg["pingpong_lines"] = 0.0
-    agg["_matched"] = 0
-    for r in rows:
-        if not r["region"].startswith(prefix):
-            continue
-        agg["_matched"] += 1
-        for m in COHERENCE_METRICS:
-            agg[m] += float(r[m])
-        agg["pingpong_lines"] += float(r["pingpong_lines"])
-    return agg
-
-
-def check_coherence(sections: dict, c: dict, coh: dict,
-                    tolerance: float, failures: list) -> None:
-    """Band per-region-prefix coherence traffic against a baseline.
-
-    Baseline shape (under the top-level "coherence" key):
-      "normalize_by":   packet counter for the per-packet bands
-                        (default: the family fallback list)
-      "min_attribution": required fraction of remote reads+RFOs
-                        resolved to named (non-"unknown") regions
-      "regions": { "<prefix>": {"remote_reads": X, ...,
-                                "max_pingpong": N} }
-    Metric bands are per-packet like "per_packet" counters; the
-    optional "max_pingpong" is an absolute line count.
-    """
-    rows = coherence_rows(sections)
-    if rows is None:
-        failures.append(
-            "baseline has a 'coherence' section but the report "
-            "carries none (bench run without --profile-coherence?)")
-        return
-    tol = coh.get("tolerance", tolerance)
-
-    min_attr = coh.get("min_attribution")
-    if min_attr is not None:
-        total = attributed = 0.0
-        for r in rows:
-            t = float(r["remote_reads"]) + float(r["remote_rfos"])
-            total += t
-            if r["region"] != "unknown":
-                attributed += t
-        frac = attributed / total if total else 1.0
-        print(f"coherence attribution: {100.0 * frac:.1f}% "
-              f"(required {100.0 * float(min_attr):.1f}%)")
-        if total == 0:
-            failures.append(
-                "coherence section recorded no remote reads/RFOs "
-                "(profiler disabled?)")
-        elif frac < float(min_attr):
-            failures.append(
-                f"coherence attribution {frac:.3f} below required "
-                f"{float(min_attr):.3f}")
-
-    norm_name = coh.get("normalize_by") or pick_normalizer(c)
-    norm = c.get(norm_name, 0.0) if norm_name else 0.0
-    for prefix, bands in coh.get("regions", {}).items():
-        agg = aggregate_regions(rows, prefix)
-        if agg["_matched"] == 0:
-            failures.append(
-                f"coherence baseline prefix '{prefix}' matches no "
-                "region in the report")
-            continue
-        for metric, entry in bands.items():
-            if metric == "max_pingpong":
-                limit = float(entry)
-                if agg["pingpong_lines"] > limit:
-                    failures.append(
-                        f"coherence {prefix}: "
-                        f"{agg['pingpong_lines']:.0f} ping-pong "
-                        f"lines exceed bound {limit:.0f} (false "
-                        "sharing / thrash crept into the region)")
-                else:
-                    print(f"coherence {prefix} pingpong_lines: "
-                          f"{agg['pingpong_lines']:.0f} <= "
-                          f"{limit:.0f} -> ok")
-                continue
-            if metric not in COHERENCE_METRICS:
-                failures.append(
-                    f"coherence baseline lists unknown metric "
-                    f"'{metric}' for prefix '{prefix}'")
-                continue
-            if norm <= 0:
-                failures.append(
-                    f"coherence normalizer "
-                    f"'{norm_name or '<none>'}' missing or zero")
-                break
-            expected = float(entry)
-            per_pkt = agg[metric] / norm
-            bound = expected * (1.0 + tol)
-            verdict = "ok"
-            if per_pkt > bound:
-                verdict = "REGRESSED"
-                failures.append(
-                    f"coherence {prefix}{metric}: {per_pkt:.4f} per "
-                    f"packet exceeds baseline {expected:.4f} "
-                    f"(+{tol * 100:.0f}% tolerance = {bound:.4f})")
-            elif per_pkt < expected * (1.0 - tol):
-                verdict = "improved (consider refreshing baseline)"
-            print(f"coherence {prefix}{metric}: {per_pkt:.4f}/pkt "
-                  f"vs {expected:.4f}/pkt -> {verdict}")
-
-
-def write_coherence_baseline(sections: dict, c: dict,
-                             tolerance: float):
-    """Per-prefix coherence bands for --write-baseline, or None."""
-    rows = coherence_rows(sections)
-    if not rows:
-        return None
-    norm_name = pick_normalizer(c)
-    if norm_name is None:
-        return None
-    norm = c[norm_name]
-    prefixes = sorted({r["region"].split(".", 1)[0] + "."
-                       for r in rows if r["region"] != "unknown"})
-    regions = {}
-    for prefix in prefixes:
-        agg = aggregate_regions(rows, prefix)
-        if all(agg[m] == 0 for m in COHERENCE_METRICS):
-            continue
-        bands = {m: round(agg[m] / norm, 6)
-                 for m in COHERENCE_METRICS if agg[m] > 0}
-        bands["max_pingpong"] = round(agg["pingpong_lines"])
-        regions[prefix] = bands
-    if not regions:
-        return None
-    return {
-        "normalize_by": norm_name,
-        "tolerance": tolerance,
-        "min_attribution": 0.95,
-        "regions": regions,
-    }
-
-
-def write_baseline(c: dict, kinds: dict, out_path: str,
-                   tolerance: float, section: str,
-                   lossy: bool = False, sections: dict = None) -> None:
-    norm_name = pick_normalizer(c)
-    if norm_name is None:
-        raise SystemExit(
-            "FAIL: cannot write baseline, no family delivered-packet "
-            "counter present (looked for: "
-            + ", ".join(FAMILY_NORMALIZERS) + ")")
-    norm = c[norm_name]
-    per_pkt = {}
-    for name, custom_norm in BASELINE_TRACKED:
-        if name not in c or kinds.get(name) == "gauge":
-            continue
-        if custom_norm is None:
-            per_pkt[name] = round(c[name] / norm, 6)
         else:
-            cn = c.get(custom_norm, 0.0)
-            if cn > 0:
-                per_pkt[name] = {
-                    "expected": round(c[name] / cn, 6),
-                    "normalize_by": custom_norm,
-                }
-    doc = {
+            band(failures, counter, c[counter] / c[this_norm],
+                 float(entry), tol, "per packet")
+
+    for counter, expected in baseline.get("absolute", {}).items():
+        band(failures, counter, c.get(counter, 0.0), float(expected),
+             tol, "events")
+
+    zero = baseline.get("zero", [])
+    for counter in zero:
+        if c.get(counter, 0.0) != 0:
+            failures.append(f"{counter} expected to be zero, got "
+                            f"{c[counter]:.0f}")
+    ts_name = name.replace("counters", "timeseries", 1)
+    if zero and ts_name not in sections:
+        failures.append(f"section '{ts_name}' missing from report; "
+                        "cannot check the zero list per interval")
+    bursts = [r for r in sections.get(ts_name, {}).get("rows", [])
+              if float(r["delta"]) != 0
+              and any(r["metric"].startswith(z) for z in zero)]
+    for r in bursts:
+        failures.append(f"{ts_name}: {r['metric']} moved by "
+                        f"{r['delta']} in the interval ending at "
+                        f"t={r['t_us']}us (listed under zero)")
+    return c
+
+
+def check_coherence(sections: dict, c: dict, baseline: dict,
+                    failures: list) -> None:
+    coh = baseline["coherence"]
+    if "coherence" not in sections:
+        failures.append("baseline has a 'coherence' block but the "
+                        "report has no coherence section (run with "
+                        "--profile-coherence)")
+        return
+    rows = sections["coherence"]["rows"]
+    tol = float(coh.get("tolerance", baseline["tolerance"]))
+
+    if "min_attribution" in coh:
+        need = float(coh["min_attribution"])
+        total = sum(float(r["remote_reads"]) + float(r["remote_rfos"])
+                    for r in rows)
+        named = sum(float(r["remote_reads"]) + float(r["remote_rfos"])
+                    for r in rows if r["region"] != "unknown")
+        print(f"coherence attribution: {named:.0f}/{total:.0f} "
+              f"(required {100.0 * need:.1f}%)")
+        if total == 0:
+            failures.append("coherence section recorded no remote "
+                            "reads/RFOs (profiler disabled?)")
+        elif named / total < need:
+            failures.append(f"coherence attribution {named / total:.3f}"
+                            f" below required {need:.3f}")
+
+    norm_name = coh.get("normalize_by", baseline["normalize_by"])
+    norm = (c or {}).get(norm_name, 0.0)
+    regions = coh.get("regions", {})
+    if norm <= 0 and any(m in COHERENCE_METRICS
+                         for bands in regions.values() for m in bands):
+        failures.append(f"coherence normalizer '{norm_name}' missing "
+                        "or zero")
+    for prefix, bands in regions.items():
+        matched = [r for r in rows if r["region"].startswith(prefix)]
+        if not matched:
+            failures.append(f"coherence prefix '{prefix}' matches no "
+                            "region in the report")
+            continue
+        pingpong = sum(float(r["pingpong_lines"]) for r in matched)
+        print(f"coherence {prefix}: {len(matched)} region(s), "
+              f"{pingpong:.0f} ping-pong line(s)")
+        for metric, expected in bands.items():
+            if metric == "max_pingpong":
+                if pingpong > expected:
+                    failures.append(
+                        f"coherence {prefix}: {pingpong:.0f} ping-pong "
+                        f"lines exceed {expected} (false sharing or "
+                        "thrash crept into the region)")
+            elif metric == "min_pingpong":
+                if pingpong < expected:
+                    failures.append(
+                        f"coherence {prefix}: {pingpong:.0f} ping-pong "
+                        f"lines, expected at least {expected} (the "
+                        "detector or the layout model regressed)")
+            elif metric not in COHERENCE_METRICS:
+                failures.append(f"coherence baseline lists unknown "
+                                f"metric '{metric}' for '{prefix}'")
+            elif norm > 0:
+                band(failures, f"coherence {prefix}{metric}",
+                     sum(float(r[metric]) for r in matched) / norm,
+                     float(expected), tol, "per packet")
+
+
+def _has(row: dict, cols: dict) -> bool:
+    return all(row.get(k) == v for k, v in cols.items())
+
+
+def check_rows(sections: dict, baseline: dict, failures: list) -> None:
+    for entry in baseline.get("rows", []):
+        sec, where = entry["section"], entry["where"]
+        expect = entry.get("expect", {})
+        desc = f"{sec} row {json.dumps(where, sort_keys=True)}"
+        if sec not in sections:
+            failures.append(f"{desc}: section missing from report")
+            continue
+        matched = [r for r in sections[sec]["rows"] if _has(r, where)]
+        wrong = [r for r in matched if not _has(r, expect)]
+        if not matched:
+            failures.append(f"{desc}: no such row")
+        for r in wrong:
+            failures.append(f"{desc}: got "
+                            f"{ {k: r.get(k) for k in expect} }, "
+                            f"expected {expect}")
+        if matched and not wrong:
+            print(f"{desc}: ok")
+
+
+def gate(doc: dict, baseline: dict) -> list:
+    """Run every check the baseline lists; return the failures."""
+    unknown = sorted(set(baseline) - BASELINE_KEYS)
+    missing = sorted({"section", "normalize_by", "tolerance"}
+                     - set(baseline))
+    if unknown or missing:
+        return [f"baseline key(s) unknown: {unknown}, missing: "
+                f"{missing}"]
+    failures = []
+    sections = doc["sections"]
+    c = check_counters(sections, baseline, failures)
+    if "coherence" in baseline:
+        check_coherence(sections, c, baseline, failures)
+    check_rows(sections, baseline, failures)
+    return failures
+
+
+def write_baseline(doc: dict) -> dict:
+    sections = doc["sections"]
+    section = ("counters_lossfree" if "counters_lossfree" in sections
+               else "counters")
+    c, kinds = counters_of(sections[section])
+    norm_name = next((n for n in FAMILY_NORMALIZERS
+                      if c.get(n, 0.0) > 0), None)
+    if norm_name is None:
+        raise SystemExit("FAIL: no family delivered-packet counter "
+                         "present (looked for: "
+                         + ", ".join(FAMILY_NORMALIZERS) + ")")
+    per_packet = {}
+    for name, custom in BASELINE_TRACKED:
+        norm = c.get(custom or norm_name, 0.0)
+        if name not in c or kinds.get(name) == "gauge" or norm <= 0:
+            continue
+        value = round(c[name] / norm, 6)
+        per_packet[name] = ({"expected": value, "normalize_by": custom}
+                            if custom else value)
+    out = {
         "section": section,
         "normalize_by": norm_name,
-        "tolerance": tolerance,
-        "per_packet": per_pkt,
-        # A lossy run retransmits and drops by design, so nothing is
-        # pinned to zero; the flag also relaxes the gate's loss-free
-        # invariants when this baseline is applied.
-        "zero": [] if lossy else [z for z in BASELINE_ZERO],
+        "tolerance": 0.25,
+        "per_packet": per_packet,
+        "zero": [n for n in LOSS_COUNTERS if c.get(n, 0.0) == 0],
     }
-    if lossy:
-        doc["lossy"] = True
-        # Band the recovery-escalation counts the run produced: a
-        # deterministic fault schedule recovers a fixed number of
-        # times, so a later blowup (reset storm, retry thrash) trips
-        # the absolute band even though the run is lossy.
-        esc = {k: round(v) for k, v in escalation_counters(c).items()}
-        if esc:
-            doc["absolute"] = esc
-    if sections is not None:
-        coh = write_coherence_baseline(sections, c, tolerance)
-        if coh is not None:
-            doc["coherence"] = coh
-    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
-    with open(out_path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
-    print(f"baseline written to {out_path}")
+    absolute = {n: round(c[n]) for n in LOSS_COUNTERS
+                if c.get(n, 0.0) != 0}
+    if absolute:
+        out["absolute"] = absolute
 
-
-def run_gate(report: str, baseline_path: str,
-             max_reads_per_pkt: float, tolerance: float,
-             section: str = DEFAULT_SECTION,
-             lossy: bool = False) -> int:
-    sections = load_sections(report)
-    c, kinds = counters_of(sections, section, report)
-    baseline = None
-    if baseline_path:
-        with open(baseline_path, encoding="utf-8") as f:
-            baseline = json.load(f)
-        lossy = lossy or bool(baseline.get("lossy"))
-    failures = []
-    check_invariants(c, max_reads_per_pkt, failures, lossy)
-    check_timeseries(sections, section, failures, lossy)
-    if baseline is not None:
-        check_baseline(c, kinds, baseline, tolerance, failures)
-        if "coherence" in baseline:
-            check_coherence(sections, c, baseline["coherence"],
-                            tolerance, failures)
-    if failures:
-        for msg in failures:
-            print(f"FAIL: {msg}", file=sys.stderr)
-        return 1
-    print("counters gate passed")
-    return 0
+    rows = sections.get("coherence", {}).get("rows", [])
+    regions = {}
+    for prefix in sorted({r["region"].split(".", 1)[0] + "."
+                          for r in rows if r["region"] != "unknown"}):
+        matched = [r for r in rows if r["region"].startswith(prefix)]
+        sums = {m: sum(float(r[m]) for r in matched)
+                for m in COHERENCE_METRICS}
+        if any(sums.values()):
+            regions[prefix] = {m: round(v / c[norm_name], 6)
+                               for m, v in sums.items() if v > 0}
+            regions[prefix]["max_pingpong"] = round(
+                sum(float(r["pingpong_lines"]) for r in matched))
+    if regions:
+        out["coherence"] = {"min_attribution": 0.95,
+                            "regions": regions}
+    return out
 
 
 # ---------------------------------------------------------------------------
-# Self-test: a clean synthetic report must pass and an injected
-# signal-read regression must fail. Registered as a ctest so the gate
-# itself cannot silently rot.
+# Self-test (a ctest entry): each case gates one mutated synthetic
+# report against one edited baseline and states the verdict it expects.
 
-def _synthetic_report(signal_reads: float) -> dict:
-    rows = [
-        {"counter": "ccnic.rx_delivered", "kind": "counter",
-         "value": 100000},
-        {"counter": "ccnic.signal_reads", "kind": "counter",
-         "value": signal_reads},
-        {"counter": "ccnic.signal_writes", "kind": "counter",
-         "value": 250000},
-        {"counter": "ccnic.peak_queue_depth", "kind": "gauge",
-         "value": 37},
-        {"counter": "transport.retransmits", "kind": "counter",
-         "value": 0},
-        {"counter": "transport.fast_retransmits", "kind": "counter",
-         "value": 0},
-    ]
-    ts_rows = [
-        {"run": 1, "t_us": 25.0, "metric": "ccnic.signal_reads",
-         "kind": "counter", "value": 1000, "delta": 1000},
-        {"run": 1, "t_us": 50.0, "metric": "transport.retransmits",
-         "kind": "counter", "value": 0, "delta": 0},
-    ]
+def _counter(name, value, kind="counter"):
+    return {"counter": name, "kind": kind, "value": value}
+
+
+def _region(name, intent, rr, rfo, pp=0):
+    return {"region": name, "intent": intent, "lines": 64,
+            "remote_reads": rr, "remote_rfos": rfo,
+            "invalidations": rfo, "migratory": rr // 2,
+            "bytes": 64 * (rr + rfo), "pingpong_lines": pp}
+
+
+def _report() -> dict:
+    return {"bench": "selftest", "sections": {
+        "counters": {"columns": ["counter", "kind", "value"], "rows": [
+            _counter("ccnic.rx_delivered", 100000),
+            _counter("ccnic.signal_reads", 670000),
+            _counter("ccnic.signal_writes", 250000),
+            _counter("ccnic.peak_queue_depth", 37, "gauge"),
+            _counter("pio.rx_delivered", 50000),
+            _counter("pio.slot_polls", 100000),
+            _counter("transport.retransmits", 0),
+            _counter("transport.fast_retransmits", 0),
+        ]},
+        "timeseries": {"columns": ["run", "t_us", "metric", "kind",
+                                   "value", "delta"], "rows": [
+            {"run": 1, "t_us": 25.0, "metric": "ccnic.signal_reads",
+             "kind": "counter", "value": 1000, "delta": 1000},
+            {"run": 1, "t_us": 50.0, "metric": "transport.retransmits",
+             "kind": "counter", "value": 0, "delta": 0},
+        ]},
+        "coherence": {"columns": [], "rows": [
+            _region("ccnic.tx_ring[q0]", "two_way", 100000, 50000),
+            _region("pool.bufs_large", "owned", 120000, 40000, pp=2),
+            _region("pack16.tx_ring[q0]", "owned", 9000, 7000, pp=12),
+            _region("opt_grouped.tx_ring[q0]", "two_way", 8000, 4000),
+            _region("unknown", "-", 1000, 0),
+        ]},
+        "summary": {"columns": ["metric", "value"], "rows": [
+            {"metric": "PIO beats ring-over-coherence", "value": "yes"},
+            {"metric": "crossover size [B]", "value": 256},
+        ]},
+    }}
+
+
+def _baseline() -> dict:
     return {
-        "bench": "selftest",
-        "sections": {
-            "counters_lossfree": {
-                "columns": ["counter", "kind", "value"],
-                "rows": rows,
-            },
-            "timeseries_lossfree": {
-                "columns": ["run", "t_us", "metric", "kind", "value",
-                            "delta"],
-                "rows": ts_rows,
-            },
-        },
-    }
-
-
-def selftest() -> int:
-    baseline = {
-        "section": "counters_lossfree",
+        "section": "counters",
         "normalize_by": "ccnic.rx_delivered",
         "tolerance": 0.25,
         "per_packet": {
             "ccnic.signal_reads": 6.7,
             "ccnic.signal_writes": 2.5,
+            "pio.slot_polls": {"expected": 2.0,
+                               "normalize_by": "pio.rx_delivered"},
         },
-        "zero": ["transport.retransmits",
-                 "transport.fast_retransmits"],
-    }
-    with tempfile.TemporaryDirectory() as td:
-        bl = os.path.join(td, "baseline.json")
-        with open(bl, "w", encoding="utf-8") as f:
-            json.dump(baseline, f)
-
-        clean = os.path.join(td, "clean.json")
-        with open(clean, "w", encoding="utf-8") as f:
-            json.dump(_synthetic_report(signal_reads=670000), f)
-        if run_gate(clean, bl, DEFAULT_MAX_SIGNAL_READS_PER_PKT,
-                    DEFAULT_TOLERANCE) != 0:
-            print("SELFTEST FAIL: clean report did not pass",
-                  file=sys.stderr)
-            return 1
-
-        # Inject a 20x signal-read regression: per-packet reads jump
-        # from 6.7 to 134, tripping both the absolute bound and the
-        # baseline band.
-        bad = os.path.join(td, "regressed.json")
-        with open(bad, "w", encoding="utf-8") as f:
-            json.dump(_synthetic_report(signal_reads=13400000), f)
-        if run_gate(bad, bl, DEFAULT_MAX_SIGNAL_READS_PER_PKT,
-                    DEFAULT_TOLERANCE) == 0:
-            print("SELFTEST FAIL: injected signal-read regression "
-                  "passed the gate", file=sys.stderr)
-            return 1
-
-        # A gauge listed under per_packet must be rejected, not
-        # silently diffed as if it were monotonic.
-        gauge_bl = dict(baseline)
-        gauge_bl["per_packet"] = {"ccnic.peak_queue_depth": 0.1}
-        gbl = os.path.join(td, "gauge_baseline.json")
-        with open(gbl, "w", encoding="utf-8") as f:
-            json.dump(gauge_bl, f)
-        if run_gate(clean, gbl, DEFAULT_MAX_SIGNAL_READS_PER_PKT,
-                    DEFAULT_TOLERANCE) == 0:
-            print("SELFTEST FAIL: gauge under per_packet passed",
-                  file=sys.stderr)
-            return 1
-
-        # A retransmit burst visible only in the time series (end
-        # total zeroed by a registry reset) must still fail.
-        bursty = _synthetic_report(signal_reads=670000)
-        bursty["sections"]["timeseries_lossfree"]["rows"].append(
-            {"run": 1, "t_us": 75.0,
-             "metric": "transport.retransmits", "kind": "counter",
-             "value": 5, "delta": 5})
-        bpath = os.path.join(td, "bursty.json")
-        with open(bpath, "w", encoding="utf-8") as f:
-            json.dump(bursty, f)
-        if run_gate(bpath, bl, DEFAULT_MAX_SIGNAL_READS_PER_PKT,
-                    DEFAULT_TOLERANCE) == 0:
-            print("SELFTEST FAIL: retransmit burst in timeseries "
-                  "passed", file=sys.stderr)
-            return 1
-
-        # Section generalization: a fig11-style report gates its plain
-        # "counters" section, with PIO counters normalized by the PIO
-        # family's own delivered count via a per-entry normalizer.
-        def fig11_report(slot_polls: float) -> dict:
-            doc = _synthetic_report(signal_reads=670000)
-            doc["sections"]["counters"] = doc["sections"].pop(
-                "counters_lossfree")
-            doc["sections"]["timeseries"] = doc["sections"].pop(
-                "timeseries_lossfree")
-            doc["sections"]["counters"]["rows"] += [
-                {"counter": "pio.rx_delivered", "kind": "counter",
-                 "value": 50000},
-                {"counter": "pio.slot_polls", "kind": "counter",
-                 "value": slot_polls},
-            ]
-            return doc
-
-        fig_bl = {
-            "section": "counters",
-            "normalize_by": "ccnic.rx_delivered",
-            "tolerance": 0.25,
-            "per_packet": {
-                "ccnic.signal_reads": 6.7,
-                "pio.slot_polls": {"expected": 2.0,
-                                   "normalize_by": "pio.rx_delivered"},
-            },
-            "zero": ["transport.retransmits"],
-        }
-        fbl = os.path.join(td, "fig11_baseline.json")
-        with open(fbl, "w", encoding="utf-8") as f:
-            json.dump(fig_bl, f)
-        fclean = os.path.join(td, "fig11_clean.json")
-        with open(fclean, "w", encoding="utf-8") as f:
-            json.dump(fig11_report(slot_polls=100000), f)
-        if run_gate(fclean, fbl, DEFAULT_MAX_SIGNAL_READS_PER_PKT,
-                    DEFAULT_TOLERANCE, section="counters") != 0:
-            print("SELFTEST FAIL: clean sectioned report did not "
-                  "pass", file=sys.stderr)
-            return 1
-
-        # A PIO slot-poll regression (2 -> 40 polls per delivered
-        # packet) must trip both the absolute bound and the
-        # per-entry-normalized baseline band.
-        fbad = os.path.join(td, "fig11_regressed.json")
-        with open(fbad, "w", encoding="utf-8") as f:
-            json.dump(fig11_report(slot_polls=2000000), f)
-        if run_gate(fbad, fbl, DEFAULT_MAX_SIGNAL_READS_PER_PKT,
-                    DEFAULT_TOLERANCE, section="counters") == 0:
-            print("SELFTEST FAIL: injected slot-poll regression "
-                  "passed the gate", file=sys.stderr)
-            return 1
-
-        # A single-family report with no ccnic counters at all must
-        # gate cleanly: the invariants and the baseline normalizer
-        # fall back to the family that actually ran instead of
-        # hard-requiring ccnic.rx_delivered.
-        def pio_only_report() -> dict:
-            return {
-                "bench": "selftest-pio",
-                "sections": {
-                    "counters": {
-                        "columns": ["counter", "kind", "value"],
-                        "rows": [
-                            {"counter": "pio.rx_delivered",
-                             "kind": "counter", "value": 50000},
-                            {"counter": "pio.slot_polls",
-                             "kind": "counter", "value": 100000},
-                            {"counter": "pio.slot_writes",
-                             "kind": "counter", "value": 120000},
-                            {"counter": "transport.retransmits",
-                             "kind": "counter", "value": 0},
-                        ],
-                    },
-                },
-            }
-
-        ppath = os.path.join(td, "pio_only.json")
-        with open(ppath, "w", encoding="utf-8") as f:
-            json.dump(pio_only_report(), f)
-        pio_bl = {
-            "section": "counters",
-            "tolerance": 0.25,
-            # No normalize_by: the gate must default per family.
-            "per_packet": {"pio.slot_polls": 2.0},
-            "zero": ["transport.retransmits"],
-        }
-        pbl = os.path.join(td, "pio_baseline.json")
-        with open(pbl, "w", encoding="utf-8") as f:
-            json.dump(pio_bl, f)
-        if run_gate(ppath, pbl, DEFAULT_MAX_SIGNAL_READS_PER_PKT,
-                    DEFAULT_TOLERANCE, section="counters") != 0:
-            print("SELFTEST FAIL: PIO-only report did not pass",
-                  file=sys.stderr)
-            return 1
-
-        # --write-baseline on the same report must record the PIO
-        # normalizer rather than dying on the absent ccnic counter.
-        pio_sections = load_sections(ppath)
-        pc, pkinds = counters_of(pio_sections, "counters", ppath)
-        pout = os.path.join(td, "pio_written.json")
-        write_baseline(pc, pkinds, pout, DEFAULT_TOLERANCE,
-                       "counters")
-        with open(pout, encoding="utf-8") as f:
-            written = json.load(f)
-        if written.get("normalize_by") != "pio.rx_delivered":
-            print("SELFTEST FAIL: written PIO baseline normalizer "
-                  f"is {written.get('normalize_by')!r}, expected "
-                  "'pio.rx_delivered'", file=sys.stderr)
-            return 1
-
-        # Lossy runs (chaos/fault scenarios): retransmits are by
-        # design. The plain gate must reject the report, a baseline
-        # with "lossy": true must accept it, and the efficiency
-        # invariants must still hold even then.
-        lossy_doc = _synthetic_report(signal_reads=670000)
-        rows = lossy_doc["sections"]["counters_lossfree"]["rows"]
-        for row in rows:
-            if row["counter"] == "transport.retransmits":
-                row["value"] = 148
-        lossy_doc["sections"]["timeseries_lossfree"]["rows"].append(
-            {"run": 1, "t_us": 75.0,
-             "metric": "transport.retransmits", "kind": "counter",
-             "value": 148, "delta": 148})
-        lpath = os.path.join(td, "lossy.json")
-        with open(lpath, "w", encoding="utf-8") as f:
-            json.dump(lossy_doc, f)
-        if run_gate(lpath, bl, DEFAULT_MAX_SIGNAL_READS_PER_PKT,
-                    DEFAULT_TOLERANCE) == 0:
-            print("SELFTEST FAIL: lossy report passed the "
-                  "loss-free gate", file=sys.stderr)
-            return 1
-        lossy_bl = {k: v for k, v in baseline.items()}
-        lossy_bl["lossy"] = True
-        lossy_bl["zero"] = []
-        lbl = os.path.join(td, "lossy_baseline.json")
-        with open(lbl, "w", encoding="utf-8") as f:
-            json.dump(lossy_bl, f)
-        if run_gate(lpath, lbl, DEFAULT_MAX_SIGNAL_READS_PER_PKT,
-                    DEFAULT_TOLERANCE) != 0:
-            print("SELFTEST FAIL: lossy report rejected despite "
-                  "lossy baseline", file=sys.stderr)
-            return 1
-        # Efficiency invariants survive the lossy relaxation: a
-        # signal-read regression must still fail under --lossy.
-        lossy_bad = _synthetic_report(signal_reads=13400000)
-        lbad = os.path.join(td, "lossy_regressed.json")
-        with open(lbad, "w", encoding="utf-8") as f:
-            json.dump(lossy_bad, f)
-        if run_gate(lbad, lbl, DEFAULT_MAX_SIGNAL_READS_PER_PKT,
-                    DEFAULT_TOLERANCE) == 0:
-            print("SELFTEST FAIL: signal-read regression passed "
-                  "under lossy baseline", file=sys.stderr)
-            return 1
-
-        # Watchdog escalations on a loss-free run must fail even with
-        # no baseline at all: recovery firing without injected faults
-        # is spurious by definition.
-        def escalated_report(resets: float) -> dict:
-            doc = _synthetic_report(signal_reads=670000)
-            doc["sections"]["counters_lossfree"]["rows"] += [
-                {"counter": "watchdog.escalations{stage=retry}",
-                 "kind": "counter", "value": resets * 2},
-                {"counter": "watchdog.escalations{stage=reset}",
-                 "kind": "counter", "value": resets},
-            ]
-            return doc
-
-        epath = os.path.join(td, "escalated.json")
-        with open(epath, "w", encoding="utf-8") as f:
-            json.dump(escalated_report(resets=3), f)
-        if run_gate(epath, None, DEFAULT_MAX_SIGNAL_READS_PER_PKT,
-                    DEFAULT_TOLERANCE) == 0:
-            print("SELFTEST FAIL: loss-free escalations passed",
-                  file=sys.stderr)
-            return 1
-
-        # A lossy baseline bands the escalation count instead: the
-        # recorded count passes, a reset storm (3x the band) fails.
-        esc_bl = dict(lossy_bl)
-        esc_bl["absolute"] = {
-            "watchdog.escalations{stage=reset}": 3,
-        }
-        ebl = os.path.join(td, "esc_baseline.json")
-        with open(ebl, "w", encoding="utf-8") as f:
-            json.dump(esc_bl, f)
-        if run_gate(epath, ebl, DEFAULT_MAX_SIGNAL_READS_PER_PKT,
-                    DEFAULT_TOLERANCE) != 0:
-            print("SELFTEST FAIL: in-band escalations rejected "
-                  "under lossy baseline", file=sys.stderr)
-            return 1
-        spath = os.path.join(td, "reset_storm.json")
-        with open(spath, "w", encoding="utf-8") as f:
-            json.dump(escalated_report(resets=9), f)
-        if run_gate(spath, ebl, DEFAULT_MAX_SIGNAL_READS_PER_PKT,
-                    DEFAULT_TOLERANCE) == 0:
-            print("SELFTEST FAIL: reset storm passed the absolute "
-                  "escalation band", file=sys.stderr)
-            return 1
-
-        # Coherence bands: region traffic grouped by prefix and
-        # normalized per packet must band like ordinary counters, the
-        # attribution floor must hold, and a ping-pong blowout in a
-        # should-be-quiet region must fail.
-        def coherent_report(ring_reads: float, pingpong: int) -> dict:
-            doc = _synthetic_report(signal_reads=670000)
-            doc["sections"]["coherence"] = {
-                "columns": ["region", "intent", "lines",
-                            "remote_reads", "remote_rfos",
-                            "invalidations", "migratory", "bytes",
-                            "pingpong_lines"],
-                "rows": [
-                    {"region": "ccnic.tx_ring[q0]",
-                     "intent": "two_way", "lines": 128,
-                     "remote_reads": ring_reads,
-                     "remote_rfos": 50000, "invalidations": 50000,
-                     "migratory": 90000, "bytes": 9600000,
-                     "pingpong_lines": 0},
-                    {"region": "pool.bufs_large", "intent": "owned",
-                     "lines": 400, "remote_reads": 120000,
-                     "remote_rfos": 40000, "invalidations": 9000,
-                     "migratory": 1000, "bytes": 15000000,
-                     "pingpong_lines": pingpong},
-                    {"region": "unknown", "intent": "-", "lines": 0,
-                     "remote_reads": 1000, "remote_rfos": 0,
-                     "invalidations": 0, "migratory": 0, "bytes": 0,
-                     "pingpong_lines": 0},
-                ],
-            }
-            return doc
-
-        coh_bl = dict(baseline)
-        coh_bl["coherence"] = {
-            "normalize_by": "ccnic.rx_delivered",
+        "zero": ["transport.retransmits", "transport.fast_retransmits",
+                 "watchdog.escalations{stage=retry}",
+                 "watchdog.escalations{stage=reset}"],
+        "coherence": {
             "min_attribution": 0.95,
             "regions": {
-                "ccnic.": {"remote_reads": 1.0,
-                           "remote_rfos": 0.5},
+                "ccnic.": {"remote_reads": 1.0, "remote_rfos": 0.5},
                 "pool.": {"remote_reads": 1.2, "max_pingpong": 4},
+                "pack16.tx_ring": {"min_pingpong": 1},
+                "opt_grouped.": {"max_pingpong": 0},
             },
-        }
-        cbl = os.path.join(td, "coh_baseline.json")
-        with open(cbl, "w", encoding="utf-8") as f:
-            json.dump(coh_bl, f)
-        cclean = os.path.join(td, "coh_clean.json")
-        with open(cclean, "w", encoding="utf-8") as f:
-            json.dump(coherent_report(ring_reads=100000, pingpong=2),
-                      f)
-        if run_gate(cclean, cbl, DEFAULT_MAX_SIGNAL_READS_PER_PKT,
-                    DEFAULT_TOLERANCE) != 0:
-            print("SELFTEST FAIL: clean coherence report rejected",
-                  file=sys.stderr)
-            return 1
+        },
+        "rows": [
+            {"section": "summary",
+             "where": {"metric": "PIO beats ring-over-coherence"},
+             "expect": {"value": "yes"}},
+            {"section": "coherence",
+             "where": {"region": "pack16.tx_ring[q0]"},
+             "expect": {"intent": "owned"}},
+        ],
+    }
 
-        # 3x remote-read blowup on the ring prefix must fail.
-        cbad = os.path.join(td, "coh_regressed.json")
-        with open(cbad, "w", encoding="utf-8") as f:
-            json.dump(coherent_report(ring_reads=300000, pingpong=2),
-                      f)
-        if run_gate(cbad, cbl, DEFAULT_MAX_SIGNAL_READS_PER_PKT,
-                    DEFAULT_TOLERANCE) == 0:
-            print("SELFTEST FAIL: coherence read regression passed",
-                  file=sys.stderr)
-            return 1
 
-        # Ping-pong lines appearing in the pool region past the band
-        # (false sharing creeping in) must fail.
-        cpp = os.path.join(td, "coh_pingpong.json")
-        with open(cpp, "w", encoding="utf-8") as f:
-            json.dump(coherent_report(ring_reads=100000,
-                                      pingpong=40), f)
-        if run_gate(cpp, cbl, DEFAULT_MAX_SIGNAL_READS_PER_PKT,
-                    DEFAULT_TOLERANCE) == 0:
-            print("SELFTEST FAIL: pool ping-pong blowout passed",
-                  file=sys.stderr)
-            return 1
+def _put(*path, value=None):
+    """Edit: set a nested dict key (value None deletes it)."""
+    def apply(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        if value is None:
+            obj.pop(path[-1], None)
+        else:
+            obj[path[-1]] = value
+    return apply
 
-        # A coherence baseline against a report with no coherence
-        # section (profiler not enabled) must fail, not skip.
-        if run_gate(clean, cbl, DEFAULT_MAX_SIGNAL_READS_PER_PKT,
-                    DEFAULT_TOLERANCE) == 0:
-            print("SELFTEST FAIL: sectionless report passed a "
-                  "coherence baseline", file=sys.stderr)
-            return 1
 
-        # --write-baseline must record per-prefix coherence bands
-        # when the report carries the section.
-        csections = load_sections(cclean)
-        cc2, ck2 = counters_of(csections, "counters_lossfree",
-                               cclean)
-        cout = os.path.join(td, "coh_written.json")
-        write_baseline(cc2, ck2, cout, DEFAULT_TOLERANCE,
-                       "counters_lossfree", sections=csections)
-        with open(cout, encoding="utf-8") as f:
-            cwritten = json.load(f)
-        wrote = cwritten.get("coherence", {}).get("regions", {})
-        if "ccnic." not in wrote or "pool." not in wrote:
-            print("SELFTEST FAIL: written baseline lacks coherence "
-                  f"prefixes: {sorted(wrote)}", file=sys.stderr)
-            return 1
+def _row(section, name, **cols):
+    """Report edit: update the row whose first column is `name`,
+    appending it when absent."""
+    def apply(doc):
+        rows = doc["sections"][section]["rows"]
+        key = next(iter(rows[0]))
+        row = next((r for r in rows if r[key] == name), None)
+        if row is None:
+            row = {key: name, "kind": "counter"}
+            rows.append(row)
+        row.update(cols)
+    return apply
 
-        # --write-baseline --lossy must record the escalation counts
-        # it saw as absolute bands.
-        esc_sections = load_sections(epath)
-        ec, ekinds = counters_of(esc_sections, "counters_lossfree",
-                                 epath)
-        eout = os.path.join(td, "esc_written.json")
-        write_baseline(ec, ekinds, eout, DEFAULT_TOLERANCE,
-                       "counters_lossfree", lossy=True)
-        with open(eout, encoding="utf-8") as f:
-            ewritten = json.load(f)
-        if ewritten.get("absolute", {}).get(
-                "watchdog.escalations{stage=reset}") != 3:
-            print("SELFTEST FAIL: lossy written baseline did not "
-                  "record escalation absolutes: "
-                  f"{ewritten.get('absolute')!r}", file=sys.stderr)
-            return 1
 
-    print("counters gate selftest passed")
-    return 0
+def _burst(metric, delta):
+    def apply(doc):
+        doc["sections"]["timeseries"]["rows"].append(
+            {"run": 1, "t_us": 75.0, "metric": metric,
+             "kind": "counter", "value": delta, "delta": delta})
+    return apply
+
+
+def _all(*edits):
+    def apply(obj):
+        for edit in edits:
+            edit(obj)
+    return apply
+
+
+def _escalated(resets):
+    return _all(
+        _row("counters", "watchdog.escalations{stage=retry}",
+             value=2 * resets),
+        _row("counters", "watchdog.escalations{stage=reset}",
+             value=resets))
+
+
+def _no_traffic(doc):
+    for r in doc["sections"]["coherence"]["rows"]:
+        r["remote_reads"] = r["remote_rfos"] = 0
+
+
+def _pio_only(doc):
+    rows = doc["sections"]["counters"]["rows"]
+    rows[:] = [r for r in rows if not r["counter"].startswith("ccnic.")]
+    del doc["sections"]["coherence"]
+
+
+def _written(report_edit=None):
+    """Baseline edit: replace it by what --write-baseline records from
+    the (edited) synthetic report."""
+    def apply(bl):
+        doc = _report()
+        (report_edit or _all())(doc)
+        bl.clear()
+        bl.update(write_baseline(doc))
+    return apply
+
+
+_SIG_REGRESS = _row("counters", "ccnic.signal_reads", value=13400000)
+_LOSSY = _all(_row("counters", "transport.retransmits", value=148),
+              _burst("transport.retransmits", 148))
+_LOSSY_BL = _put("zero", value=[])
+_ESC_BAND = _all(_LOSSY_BL, _put("absolute", value={
+    "watchdog.escalations{stage=reset}": 3}))
+_PIO_BL = _all(_put("normalize_by", value="pio.rx_delivered"),
+               _put("per_packet", value={"pio.slot_polls": 2.0}),
+               _put("coherence"), _put("rows"))
+
+# (case, baseline edit, report edit, expect pass)
+CASES = [
+    ("clean report passes", None, None, True),
+    ("20x signal-read regression", None, _SIG_REGRESS, False),
+    ("slot-poll regression under a per-entry normalizer", None,
+     _row("counters", "pio.slot_polls", value=2000000), False),
+    ("gauge listed under per_packet",
+     _put("per_packet", value={"ccnic.peak_queue_depth": 0.1}), None,
+     False),
+    ("per_packet counter missing from report",
+     _put("per_packet", "ccnic.tx_packets", value=1.0), None, False),
+    ("retransmit burst seen only in the time series", None,
+     _burst("transport.retransmits", 5), False),
+    ("escalation burst seen only in the time series", None,
+     _burst("watchdog.escalations{stage=reset}", 1), False),
+    ("zero list, report without its time series", None,
+     _put("sections", "timeseries"), False),
+    ("empty zero list, report without a time series", _LOSSY_BL,
+     _put("sections", "timeseries"), True),
+    ("baseline without normalize_by", _put("normalize_by"), None,
+     False),
+    ("baseline still carrying the retired lossy flag",
+     _put("lossy", value=True), None, False),
+    ("report without the normalizer (no family delivered)", None,
+     _put("sections", "counters", "rows", value=[]), False),
+    ("report without the gated section",
+     _put("section", value="counters_lossfree"), None, False),
+    ("single-family PIO report, PIO-normalized baseline", _PIO_BL,
+     _pio_only, True),
+    ("retransmits fail a baseline listing them under zero", None,
+     _LOSSY, False),
+    ("retransmits pass a baseline not listing them under zero",
+     _LOSSY_BL, _LOSSY, True),
+    ("signal-read regression fails a lossy baseline too", _LOSSY_BL,
+     _SIG_REGRESS, False),
+    ("escalations fail a baseline listing them under zero", None,
+     _escalated(3), False),
+    ("in-band escalations pass an absolute band", _ESC_BAND,
+     _escalated(3), True),
+    ("reset storm exceeds the absolute band", _ESC_BAND, _escalated(9),
+     False),
+    ("3x coherence read regression on a prefix", None,
+     _row("coherence", "ccnic.tx_ring[q0]", remote_reads=300000),
+     False),
+    ("ping-pong blowout past max_pingpong", None,
+     _row("coherence", "pool.bufs_large", pingpong_lines=40), False),
+    ("coherence block, report without coherence section", None,
+     _put("sections", "coherence"), False),
+    ("profiler recorded no remote traffic", None, _no_traffic, False),
+    ("attribution below min_attribution",
+     _put("coherence", "min_attribution", value=0.999), None, False),
+    ("prefix with no bands matches a region",
+     _put("coherence", "regions", "ccnic.", value={}), None, True),
+    ("prefix with no bands matches no region",
+     _put("coherence", "regions", "nosuch.", value={}), None, False),
+    ("packed rings stop ping-ponging (min_pingpong)", None,
+     _row("coherence", "pack16.tx_ring[q0]", pingpong_lines=0), False),
+    ("grouped layout thrashes (max_pingpong 0)", None,
+     _row("coherence", "opt_grouped.tx_ring[q0]", pingpong_lines=3),
+     False),
+    ("packed rings lose owner intent", None,
+     _row("coherence", "pack16.tx_ring[q0]", intent="two_way"), False),
+    ("rows: verdict column mismatch", None,
+     _row("summary", "PIO beats ring-over-coherence", value="no"),
+     False),
+    ("rows: no row matches", _put("rows", value=[
+        {"section": "summary", "where": {"metric": "no such verdict"},
+         "expect": {"value": "yes"}}]), None, False),
+    ("rows: section missing", None, _put("sections", "summary"), False),
+    ("rows: numeric column matches", _put("rows", value=[
+        {"section": "summary", "where": {"metric": "crossover size [B]"},
+         "expect": {"value": 256}}]), None, True),
+    ("written baseline passes its own report", _written(), None, True),
+    ("written PIO-only baseline picks the PIO normalizer",
+     _written(_pio_only), _pio_only, True),
+    ("written loss-free baseline pins escalations to zero",
+     _written(), _escalated(3), False),
+    ("written baseline bands seen escalations absolutely",
+     _written(_escalated(3)), _escalated(3), True),
+    ("reset storm exceeds a written absolute band",
+     _written(_escalated(3)), _escalated(9), False),
+    ("written baseline bands coherence per prefix", _written(),
+     _row("coherence", "pool.bufs_large", pingpong_lines=40), False),
+]
+
+
+def selftest() -> int:
+    bad = []
+    for name, baseline_edit, report_edit, want_pass in CASES:
+        baseline, doc = _baseline(), _report()
+        (baseline_edit or _all())(baseline)
+        (report_edit or _all())(doc)
+        print(f"--- {name} (expect {'pass' if want_pass else 'fail'})")
+        failures = gate(doc, baseline)
+        for msg in failures:
+            print(f"    fails: {msg}")
+        if (not failures) != want_pass:
+            bad.append(name)
+    for name in bad:
+        print(f"SELFTEST FAIL: {name}", file=sys.stderr)
+    if not bad:
+        print(f"counters gate selftest passed ({len(CASES)} cases)")
+    return 1 if bad else 0
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser()
+    ap = argparse.ArgumentParser(
+        description="Gate a bench/scenario report against its baseline.")
     ap.add_argument("report", nargs="?")
-    ap.add_argument("--section", default=None,
-                    help="counter-snapshot section to gate (default: "
-                         "the baseline's 'section' field, else "
-                         f"'{DEFAULT_SECTION}')")
-    ap.add_argument("--max-signal-reads-per-pkt", type=float,
-                    default=DEFAULT_MAX_SIGNAL_READS_PER_PKT)
-    ap.add_argument("--baseline",
-                    help="baseline JSON to diff per-packet counters "
-                         "against")
-    ap.add_argument("--tolerance", type=float,
-                    default=DEFAULT_TOLERANCE,
-                    help="relative band for baseline comparisons "
-                         "(overridden by the baseline's own "
-                         "'tolerance' field)")
+    ap.add_argument("--baseline", help="baseline JSON listing the checks")
     ap.add_argument("--write-baseline", metavar="OUT",
-                    help="write a fresh baseline from this report "
-                         "and exit")
-    ap.add_argument("--lossy", action="store_true",
-                    help="the run injects loss/faults by design: "
-                         "allow retransmits (invariant 1 and the "
-                         "timeseries rate check are skipped). Also "
-                         "implied by a baseline with 'lossy': true; "
-                         "with --write-baseline, records the flag "
-                         "and pins nothing to zero")
+                    help="write a baseline measured from the report")
     ap.add_argument("--selftest", action="store_true",
                     help="run the gate's self-checks and exit")
     args = ap.parse_args()
 
     if args.selftest:
         return selftest()
-    if not args.report:
-        ap.error("report path required (or use --selftest)")
-
+    if not args.report or not (args.baseline or args.write_baseline):
+        ap.error("REPORT with --baseline or --write-baseline required")
+    doc = load_json(args.report)
     if args.write_baseline:
-        section = args.section or DEFAULT_SECTION
-        sections = load_sections(args.report)
-        c, kinds = counters_of(sections, section, args.report)
-        write_baseline(c, kinds, args.write_baseline, args.tolerance,
-                       section, args.lossy, sections)
+        with open(args.write_baseline, "w", encoding="utf-8") as f:
+            json.dump(write_baseline(doc), f, indent=2, sort_keys=True)
+            f.write("\n")
+        print(f"baseline written to {args.write_baseline}")
         return 0
-
-    # Section resolution: explicit flag, else the baseline's own
-    # "section" field, else the fabric_kvstore default.
-    section = args.section
-    if section is None and args.baseline:
-        with open(args.baseline, encoding="utf-8") as f:
-            section = json.load(f).get("section")
-    if section is None:
-        section = DEFAULT_SECTION
-
-    return run_gate(args.report, args.baseline,
-                    args.max_signal_reads_per_pkt, args.tolerance,
-                    section, args.lossy)
+    failures = gate(doc, load_json(args.baseline))
+    for msg in failures:
+        print(f"FAIL: {msg}", file=sys.stderr)
+    if not failures:
+        print("counters gate passed")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
