@@ -114,18 +114,29 @@ CcNic::Queue::Queue(sim::Simulator &sim, mem::CoherentSystem &m,
                     int nic_socket, WirePort &port)
     : hostAgent(m.addAgent(host_socket)),
       nicAgent(m.addAgent(nic_socket)),
-      tx(m, host_socket, cfg.ringEntries, cfg.layout),
-      rx(m, cfg.nicHomedRx ? nic_socket : host_socket, cfg.ringEntries,
-         cfg.layout),
-      txTail(m, host_socket),
-      txHead(m, host_socket),
-      rxTail(m, cfg.nicHomedRx ? nic_socket : host_socket),
-      rxHead(m, host_socket),
+      tx(m, host_socket, cfg),
+      rx(m, cfg.nicHomedRx ? nic_socket : host_socket, cfg),
       txShadow(cfg.ringEntries, nullptr),
       rxInput(port.rxInput),
       coreLock(sim, 1),
       wireDrained(port.drained)
-{}
+{
+    // Register lines follow both rings in simulated memory.
+    tx.tail = driver::RegisterLine(m, host_socket);
+    tx.head = driver::RegisterLine(m, host_socket);
+    rx.tail = driver::RegisterLine(m, cfg.nicHomedRx ? nic_socket
+                                                     : host_socket);
+    rx.head = driver::RegisterLine(m, host_socket);
+}
+
+void
+CcNic::RingEnd::rewind()
+{
+    prod = cons = clearScan = 0;
+    headCache = tailCache = 0;
+    tail.publish(0);
+    head.publish(0);
+}
 
 CcNic::CcNic(sim::Simulator &sim, mem::CoherentSystem &mem_system,
              const CcNicConfig &config, int host_socket, int nic_socket,
@@ -187,26 +198,25 @@ CcNic::registerProfRegions()
     for (int q = 0; q < cfg_.numQueues; ++q) {
         Queue &queue = *queues_[q];
         const std::string qs = "[q" + std::to_string(q) + "]";
-        profRegions_.push_back(
-            prof.registerRegion(tag + ".tx_ring" + qs, queue.tx.base(),
-                                queue.tx.bytes(), ring_intent));
-        profRegions_.push_back(
-            prof.registerRegion(tag + ".rx_ring" + qs, queue.rx.base(),
-                                queue.rx.bytes(), ring_intent));
+        auto add = [&](const char *name, Addr base, std::uint64_t bytes,
+                       RegionIntent intent) {
+            profRegions_.push_back(prof.registerRegion(
+                tag + "." + name + qs, base, bytes, intent));
+        };
+        add("tx_ring", queue.tx.ring.base(), queue.tx.ring.bytes(),
+            ring_intent);
+        add("rx_ring", queue.rx.ring.base(), queue.rx.ring.bytes(),
+            ring_intent);
         // Head/tail register lines are single-line two-way signals
         // whichever signaling mode is active (idle in Inline mode).
-        profRegions_.push_back(prof.registerRegion(
-            tag + ".tx_tail" + qs, queue.txTail.addr(),
-            mem::kLineBytes, RegionIntent::TwoWay));
-        profRegions_.push_back(prof.registerRegion(
-            tag + ".tx_head" + qs, queue.txHead.addr(),
-            mem::kLineBytes, RegionIntent::TwoWay));
-        profRegions_.push_back(prof.registerRegion(
-            tag + ".rx_tail" + qs, queue.rxTail.addr(),
-            mem::kLineBytes, RegionIntent::TwoWay));
-        profRegions_.push_back(prof.registerRegion(
-            tag + ".rx_head" + qs, queue.rxHead.addr(),
-            mem::kLineBytes, RegionIntent::TwoWay));
+        add("tx_tail", queue.tx.tail.addr(), mem::kLineBytes,
+            RegionIntent::TwoWay);
+        add("tx_head", queue.tx.head.addr(), mem::kLineBytes,
+            RegionIntent::TwoWay);
+        add("rx_tail", queue.rx.tail.addr(), mem::kLineBytes,
+            RegionIntent::TwoWay);
+        add("rx_head", queue.rx.head.addr(), mem::kLineBytes,
+            RegionIntent::TwoWay);
     }
     profRegions_.push_back(prof.registerRegion(
         tag + ".host_beat", hostBeat_->addr(), mem::kLineBytes,
@@ -221,8 +231,6 @@ CcNic::spawnEngines(int q)
 {
     sim_.spawn(nicTxTask(q));
     sim_.spawn(nicRxTask(q));
-    if (cfg_.batch.enabled())
-        sim_.spawn(txFlushTimerTask(q));
 }
 
 mem::AgentId
@@ -244,7 +252,7 @@ CcNic::faultLines() const
     // target is read by the device engine, the device's next RX
     // publish target by the host's rxBurst.
     const Queue &q = *queues_[0];
-    return {q.tx.lineOf(q.txCons), q.rx.lineOf(q.rxCons)};
+    return {q.tx.ring.lineOf(q.tx.cons), q.rx.ring.lineOf(q.rx.cons)};
 }
 
 driver::QueueHealth
@@ -255,7 +263,7 @@ CcNic::health(int q) const
     h.txSubmitted = queue.txSubmittedTotal;
     h.txCompleted = queue.txCompletedTotal;
     h.rxDelivered = queue.rxDeliveredTotal;
-    h.txOutstanding = queue.txProd - queue.txCons;
+    h.txOutstanding = queue.tx.prod - queue.tx.cons;
     // Staged-but-unflushed descriptors are invisible to the device;
     // the Watchdog must not read a coalescing delay as a ring stall.
     h.txHeldInBatch = queue.txPending.size();
@@ -289,16 +297,14 @@ CcNic::reclaimSlots(int q)
         if (b && seen.insert(b).second)
             held.push_back(b);
     };
-    auto sweep = [&keep](driver::DescRing &ring) {
-        for (std::uint32_t i = 0; i < ring.entries(); ++i) {
-            const auto &slot = ring.slot(i);
+    for (driver::DescRing *ring : {&queue.tx.ring, &queue.rx.ring}) {
+        for (std::uint32_t i = 0; i < ring->entries(); ++i) {
+            const auto &slot = ring->slot(i);
             if (slot.meta != kConsumed)
                 keep(slot.buf);
         }
-        ring.clear();
-    };
-    sweep(queue.tx);
-    sweep(queue.rx);
+        ring->clear();
+    }
     // Staged-but-unflushed publications never reached a slot, so
     // the ring sweep cannot see their buffers: reclaim them here.
     for (const auto &e : queue.txPending.take(true))
@@ -317,17 +323,179 @@ void
 CcNic::rewindQueue(int q)
 {
     Queue &queue = *queues_[q];
-    // Zero ring positions and signal caches; clear signal lines.
-    queue.txProd = queue.rxCons = queue.rxClearScan = 0;
+    queue.tx.rewind();
+    queue.rx.rewind();
     queue.txFreeScan = queue.rxPostProd = 0;
-    queue.txCons = queue.txClearScan = 0;
-    queue.rxProd = queue.rxPostCons = 0;
-    queue.hostTxHeadCache = queue.nicTxTailCache = 0;
-    queue.hostRxTailCache = queue.nicRxHeadCache = 0;
-    queue.txTail.publish(0);
-    queue.txHead.publish(0);
-    queue.rxTail.publish(0);
-    queue.rxHead.publish(0);
+}
+
+std::uint32_t
+CcNic::padGroup(const RingEnd &e, std::uint32_t idx) const
+{
+    const std::uint32_t per_line = e.ring.perLine();
+    if (cfg_.layout == RingLayout::Grouped &&
+        cfg_.signal == SignalMode::Inline && !cfg_.batch.enabled() &&
+        idx % per_line != 0)
+        return e.ring.groupBase(idx) + per_line;
+    return idx;
+}
+
+template <typename Fill>
+sim::Coro<std::uint32_t>
+CcNic::publish(RingEnd &e, mem::AgentId agent,
+               std::vector<driver::PublishBatch::Entry> entries,
+               std::vector<std::uint32_t> payload, obs::SpanStage stage,
+               Fill fill)
+{
+    std::vector<mem::CoherentSystem::Span> spans;
+    std::uint32_t lines = 0;
+    Addr last_line = ~Addr{0};
+    for (std::size_t k = 0; k < entries.size(); ++k) {
+        if (!payload.empty())
+            spans.push_back({entries[k].buf->addr, payload[k]});
+        const Addr l = e.ring.lineOf(entries[k].idx);
+        if (l != last_line) {
+            spans.push_back({l, mem::kLineBytes});
+            last_line = l;
+            lines++;
+        }
+    }
+    const bool reg = cfg_.signal == SignalMode::Register;
+    if (reg)
+        spans.push_back({e.tail.addr(), 8});
+    // Every entry precedes the producer position. One that padGroup()
+    // moved past a partial group leaves that group to be sealed.
+    const std::uint32_t end =
+        entries.empty() ? e.prod : entries.back().idx + 1;
+    const bool seal = end != e.prod;
+    const std::uint64_t tail_val = e.prod;
+
+    // Posted stores: the core retires immediately; descriptors, ready
+    // flags and (TSO-ordered after them) the tail value become visible
+    // at store completion.
+    RingEnd *ep = &e;
+    auto visible = [ep, entries = std::move(entries), stage,
+                    fill = std::move(fill), seal, end, reg, tail_val,
+                    simp = &sim_]() {
+        for (std::size_t k = 0; k < entries.size(); ++k) {
+            PacketBuf *b = entries[k].buf;
+            auto &slot = ep->ring.slot(entries[k].idx);
+            fill(k, entries[k], slot);
+            // Stamped at store completion: when the descriptor became
+            // visible, not when the core retired the posted store.
+            b->span.stamp(stage, simp->now());
+            slot.buf = b;
+            slot.ready = true;
+            ep->ring.stampSlot(entries[k].idx);
+        }
+        if (seal)
+            ep->ring.sealLine(end);
+        if (reg)
+            ep->tail.publish(tail_val);
+    };
+    co_await mem_.postMulti(agent, spans, std::move(visible));
+    if (!spans.empty())
+        noteSignalWrite(reg ? e.tail.addr() : e.ring.lineOf(end - 1));
+    co_return lines;
+}
+
+void
+CcNic::grantAhead(RingEnd &e, mem::AgentId agent, std::uint32_t lines)
+{
+    for (std::uint32_t k = 0; k < lines; ++k)
+        mem_.touchLine(agent, e.ring.lineOf(e.prod + k * e.ring.perLine()));
+}
+
+std::uint32_t
+CcNic::consume(RingEnd &e, int max, std::vector<Taken> &taken,
+               std::vector<mem::CoherentSystem::Span> &lines)
+{
+    const bool reg = cfg_.signal == SignalMode::Register;
+    const std::uint32_t per_line = e.ring.perLine();
+    Addr last_line = ~Addr{0};
+    std::uint32_t idx = e.cons;
+    while (static_cast<int>(taken.size()) < max) {
+        auto &slot = e.ring.slot(idx);
+        if (reg) {
+            if (idx == static_cast<std::uint32_t>(e.tailCache) ||
+                !slot.ready)
+                break; // Nothing signaled, or its publish in flight.
+        } else if (!slot.ready || slot.meta == kConsumed) {
+            if (!slot.ready && cfg_.layout == RingLayout::Grouped &&
+                idx % per_line != 0 && e.ring.lineSealed(idx)) {
+                // Blank mid-group on a sealed line: the producer
+                // abandoned the rest of this group. An open (unsealed)
+                // group may still be continued by a later batched
+                // flush, so stop there instead — skipping would leap
+                // over live descriptors.
+                idx = e.ring.groupBase(idx) + per_line;
+                continue;
+            }
+            break;
+        }
+        if (!e.ring.slotValid(idx)) {
+            integrity_.noteReject();
+            break; // Torn/corrupt descriptor: re-poll.
+        }
+        const Addr l = e.ring.lineOf(idx);
+        if (l != last_line) {
+            lines.push_back({l, mem::kLineBytes});
+            last_line = l;
+        }
+        taken.push_back({idx, slot.buf, slot.len});
+        if (reg) {
+            slot.buf = nullptr;
+            slot.ready = false;
+            slot.meta = kRxEmpty;
+        } else {
+            // The line clear in release() publishes the slot back.
+            slot.meta = kConsumed;
+        }
+        e.ring.clearStamp(idx);
+        idx++;
+    }
+    return idx;
+}
+
+sim::Coro<void>
+CcNic::release(RingEnd &e, mem::AgentId agent)
+{
+    RingEnd *ep = &e;
+    if (cfg_.signal == SignalMode::Register) {
+        const std::uint64_t v = e.cons;
+        std::vector<mem::CoherentSystem::Span> reg{{e.head.addr(), 8}};
+        co_await mem_.postMulti(agent, reg,
+                                [ep, v] { ep->head.publish(v); });
+        noteSignalWrite(e.head.addr());
+        co_return;
+    }
+    // Clear every line the consumer has fully passed: the consumer's
+    // half of the two-way inline signal (§3.2).
+    const std::uint32_t from = e.clearScan;
+    const std::uint32_t limit = e.ring.groupBase(e.cons);
+    std::vector<mem::CoherentSystem::Span> clear_spans;
+    Addr last_clear = ~Addr{0};
+    for (std::uint32_t i = from; i != limit; ++i) {
+        const Addr l = e.ring.lineOf(i);
+        if (l != last_clear) {
+            clear_spans.push_back({l, mem::kLineBytes});
+            last_clear = l;
+        }
+    }
+    if (clear_spans.empty())
+        co_return;
+    auto cleared = [ep, from, limit]() {
+        for (std::uint32_t i = from; i != limit; ++i) {
+            auto &slot = ep->ring.slot(i);
+            slot.ready = false;
+            slot.meta = kRxEmpty;
+            slot.buf = nullptr;
+            // Recycled lines start the next lap open.
+            ep->ring.clearSeal(i);
+        }
+    };
+    co_await mem_.postMulti(agent, clear_spans, std::move(cleared));
+    noteSignalWrite(clear_spans.front().addr);
+    e.clearScan = limit;
 }
 
 sim::Coro<int>
@@ -340,8 +508,8 @@ CcNic::txBurst(int q, PacketBuf **bufs, int count)
         co_return 0;
     OpScope guard(hostOps_);
     Queue &queue = *queues_[q];
+    RingEnd &tx = queue.tx;
     const auto &costs = cfg_.hostCosts;
-    const std::uint32_t per_line = queue.tx.perLine();
     co_await sim_.delay(cycles(costs.perLoop));
 
     // Host-managed mode: reap TX completions (bookkeeping pass the
@@ -349,45 +517,39 @@ CcNic::txBurst(int q, PacketBuf **bufs, int count)
     if (!cfg_.nicBufferMgmt) {
         std::vector<mem::CoherentSystem::Span> scan_spans;
         std::vector<PacketBuf *> to_free;
-        Addr last_line = ~Addr{0};
+        auto reap = [&] {
+            PacketBuf *&b = queue.txShadow[queue.txFreeScan &
+                                           tx.ring.mask()];
+            if (b)
+                to_free.push_back(b);
+            b = nullptr;
+            queue.txFreeScan++;
+        };
         if (cfg_.signal == SignalMode::Register) {
             if (queue.txFreeScan !=
-                static_cast<std::uint32_t>(queue.txHead.value())) {
-                noteSignalRead(queue, queue.txHead.addr());
-                co_await mem_.load(queue.hostAgent,
-                                   queue.txHead.addr(), 8);
-                queue.hostTxHeadCache = queue.txHead.value();
+                static_cast<std::uint32_t>(tx.head.value())) {
+                noteSignalRead(queue, tx.head.addr());
+                co_await mem_.load(queue.hostAgent, tx.head.addr(), 8);
+                tx.headCache = tx.head.value();
             }
             while (queue.txFreeScan !=
-                   static_cast<std::uint32_t>(queue.hostTxHeadCache)) {
-                PacketBuf *b = queue.txShadow[queue.txFreeScan &
-                                              queue.tx.mask()];
-                if (b)
-                    to_free.push_back(b);
-                queue.txShadow[queue.txFreeScan & queue.tx.mask()] =
-                    nullptr;
-                queue.txFreeScan++;
-            }
+                   static_cast<std::uint32_t>(tx.headCache))
+                reap();
         } else {
             // Staged-but-unflushed slots are not `ready` either, but
             // they are pending work, not completions: stop the reap
             // scan before the staged region.
             const std::uint32_t reap_limit =
-                queue.txProd - queue.txPending.size();
+                tx.prod - queue.txPending.size();
+            Addr last_line = ~Addr{0};
             while (queue.txFreeScan != reap_limit &&
-                   !queue.tx.slot(queue.txFreeScan).ready) {
-                const Addr l = queue.tx.lineOf(queue.txFreeScan);
+                   !tx.ring.slot(queue.txFreeScan).ready) {
+                const Addr l = tx.ring.lineOf(queue.txFreeScan);
                 if (l != last_line) {
                     scan_spans.push_back({l, mem::kLineBytes});
                     last_line = l;
                 }
-                PacketBuf *b = queue.txShadow[queue.txFreeScan &
-                                              queue.tx.mask()];
-                if (b)
-                    to_free.push_back(b);
-                queue.txShadow[queue.txFreeScan & queue.tx.mask()] =
-                    nullptr;
-                queue.txFreeScan++;
+                reap();
             }
             if (!scan_spans.empty())
                 co_await mem_.accessMulti(queue.hostAgent, scan_spans,
@@ -404,168 +566,59 @@ CcNic::txBurst(int q, PacketBuf **bufs, int count)
     // when the cached view looks full.
     if (cfg_.signal == SignalMode::Register) {
         auto space = [&] {
-            return queue.tx.entries() - 1 -
-                   (queue.txProd -
-                    static_cast<std::uint32_t>(queue.hostTxHeadCache));
+            return tx.ring.entries() - 1 -
+                   (tx.prod - static_cast<std::uint32_t>(tx.headCache));
         };
         if (space() < static_cast<std::uint32_t>(count)) {
-            noteSignalRead(queue, queue.txHead.addr());
-            co_await mem_.load(queue.hostAgent, queue.txHead.addr(), 8);
-            queue.hostTxHeadCache = queue.txHead.value();
+            noteSignalRead(queue, tx.head.addr());
+            co_await mem_.load(queue.hostAgent, tx.head.addr(), 8);
+            tx.headCache = tx.head.value();
         }
         count = std::min<std::uint32_t>(count, space());
     }
 
-    // Gather writable slots.
-    struct Pending
-    {
-        std::uint32_t idx;
-        PacketBuf *buf;
-    };
-    std::vector<Pending> pending;
-    std::vector<mem::CoherentSystem::Span> spans;
-    Addr last_line = ~Addr{0};
-    std::uint32_t idx = queue.txProd;
-    for (int i = 0; i < count; ++i) {
-        if (cfg_.signal == SignalMode::Inline &&
-            queue.tx.slot(idx).ready) {
-            break; // Ring full: the consumer has not cleared yet.
-        }
-        pending.push_back({idx, bufs[i]});
-        const Addr l = queue.tx.lineOf(idx);
-        if (l != last_line) {
-            spans.push_back({l, mem::kLineBytes});
-            last_line = l;
-        }
-        idx++;
-    }
-    if (pending.empty())
+    // Writable slots. Inline: the ring is full where the consumer has
+    // not cleared yet.
+    const std::uint32_t first = tx.prod;
+    int n = 0;
+    while (n < count && !(cfg_.signal == SignalMode::Inline &&
+                          tx.ring.slot(first + n).ready))
+        n++;
+    if (n == 0)
         co_return 0;
 
     // Lifecycle spans: activate the 1-in-N sampled slot on accepted
     // buffers only (rejected packets never entered the pipeline).
-    for (const Pending &p : pending)
-        obs::SpanTable::global().maybeStart(p.buf->span, sim_.now());
-
-    // Grouped layout: a partial final group is zero-padded and the
-    // producer skips to the next line, sealing it so the consumer
-    // knows the blanks are permanent (§3.2). Under batched
-    // publication the group instead stays open — the next flush
-    // continues mid-group, so skipping (and sealing) would waste
-    // slots and strand the coalesced line.
-    constexpr std::uint32_t kNoSeal = ~0u;
-    std::uint32_t seal_idx = kNoSeal;
-    if (cfg_.layout == RingLayout::Grouped &&
-        cfg_.signal == SignalMode::Inline && (idx % per_line) != 0 &&
-        !cfg_.batch.enabled()) {
-        seal_idx = idx;
-        idx = queue.tx.groupBase(idx) + per_line;
-    }
+    for (int i = 0; i < n; ++i)
+        obs::SpanTable::global().maybeStart(bufs[i]->span, sim_.now());
+    const std::uint32_t next = padGroup(tx, first + n);
 
     co_await sim_.delay(cycles((costs.perPktTx + costs.perDesc) *
-                               static_cast<double>(pending.size())));
-    // Posted stores: the core retires immediately; descriptor flags
-    // (and, in register mode, the tail value — TSO orders it after the
-    // descriptor stores) become visible at store completion.
-    queue.txProd = idx;
-    queue.txSubmittedTotal += pending.size();
-    if (cfg_.batch.enabled()) {
-        // Software write-combining: retire the descriptors into the
-        // host-side staging batch — no coherence traffic, no signal —
-        // and publish everything at once when the batch fills (or the
-        // flush timer fires on a partial batch).
-        for (const Pending &p : pending)
-            queue.txPending.stage(p.idx, p.buf, sim_.now());
-        if (queue.txPending.full())
-            co_await flushTxBatch(q, /*timeout_flush=*/false);
-        co_return static_cast<int>(pending.size());
-    }
-    {
-        Queue *qp = &queue;
-        const bool shadow = !cfg_.nicBufferMgmt;
-        const bool reg = cfg_.signal == SignalMode::Register;
-        const std::uint64_t tail_val = queue.txProd;
-        if (reg)
-            spans.push_back({queue.txTail.addr(), 8});
-        // Unbatched publication is a degenerate batch of one burst:
-        // the flush begins now.
-        const Tick flush_now = sim_.now();
-        for (const Pending &p : pending)
-            p.buf->span.stamp(obs::SpanStage::BatchFlush, flush_now);
-        auto publish = [qp, shadow, reg, tail_val, seal_idx, pending,
-                        simp = &sim_]() {
-            for (const Pending &p : pending) {
-                auto &slot = qp->tx.slot(p.idx);
-                slot.buf = p.buf;
-                slot.len = p.buf->wireLen();
-                slot.ready = true;
-                qp->tx.stampSlot(p.idx);
-                // Stamped inside the publish (store-completion time):
-                // this is when the descriptor became visible, not
-                // when the core retired the posted store.
-                p.buf->span.stamp(obs::SpanStage::DescPublish,
-                                  simp->now());
-                if (shadow)
-                    qp->txShadow[p.idx & qp->tx.mask()] = p.buf;
-            }
-            if (seal_idx != kNoSeal)
-                qp->tx.sealLine(seal_idx);
-            if (reg)
-                qp->txTail.publish(tail_val);
-        };
-        co_await mem_.postMulti(queue.hostAgent, spans,
-                                std::move(publish));
-        noteSignalWrite(reg ? queue.txTail.addr()
-                            : queue.tx.lineOf(tail_val ? static_cast<
-                                  std::uint32_t>(tail_val) - 1 : 0));
-    }
-    if (cfg_.signal == SignalMode::Inline && cfg_.nicBufferMgmt) {
-        // Read-ahead the ring lines the next burst will use: the
-        // capacity check doubles as a migratory ownership grant, so
-        // the next burst's descriptor stores hit locally (§3.2).
-        const std::uint32_t lines_written =
-            static_cast<std::uint32_t>(spans.size());
-        for (std::uint32_t k = 0; k < lines_written; ++k) {
-            mem_.touchLine(queue.hostAgent,
-                           queue.tx.lineOf(queue.txProd +
-                                           k * per_line));
-        }
-    }
-    co_return static_cast<int>(pending.size());
+                               static_cast<double>(n)));
+    // Software write-combining: retire the descriptors into the
+    // host-side staging batch (no coherence traffic, no signal) and
+    // publish when the batch fills, or at once with batching off. The
+    // flush timer publishes a partial batch.
+    tx.prod = next;
+    queue.txSubmittedTotal += static_cast<std::uint64_t>(n);
+    for (int i = 0; i < n; ++i)
+        queue.txPending.stage(first + i, bufs[i], sim_.now());
+    if (!cfg_.batch.enabled() || queue.txPending.full())
+        co_await flushTx(q, FlushReason::Full);
+    co_return n;
 }
 
 sim::Coro<void>
-CcNic::flushTxBatch(int q, bool timeout_flush)
+CcNic::flushTx(int q, FlushReason reason)
 {
     Queue &queue = *queues_[q];
-    if (queue.txPending.empty())
-        co_return;
     // Work still outstanding behind this batch drives adaptive
     // growth: a backlogged device benefits from larger, rarer signal
     // writes.
-    const std::uint32_t backlog = queue.txProd - queue.txCons;
-    auto entries = queue.txPending.take(timeout_flush, backlog);
-
-    noteBatchFlush(q, timeout_flush ? "timeout" : "full", entries.size());
-
-    std::vector<mem::CoherentSystem::Span> spans;
-    Addr last_line = ~Addr{0};
-    for (const auto &e : entries) {
-        const Addr l = queue.tx.lineOf(e.idx);
-        if (l != last_line) {
-            spans.push_back({l, mem::kLineBytes});
-            last_line = l;
-        }
-    }
-    const std::uint32_t desc_lines =
-        static_cast<std::uint32_t>(spans.size());
-    const std::uint32_t last_idx = entries.back().idx;
-    const bool shadow = !cfg_.nicBufferMgmt;
-    const bool reg = cfg_.signal == SignalMode::Register;
-    const std::uint64_t tail_val = last_idx + 1;
-    if (reg)
-        spans.push_back({queue.txTail.addr(), 8});
-
+    auto entries = takeBatch(q, queue.txPending, reason,
+                             queue.tx.prod - queue.tx.cons);
+    if (entries.empty())
+        co_return;
     // One coalesced publication: every staged descriptor, its ready
     // flag, and the signal (line store or tail register) become
     // visible as a single posted-store group — one signal write for
@@ -573,56 +626,21 @@ CcNic::flushTxBatch(int q, bool timeout_flush)
     const Tick flush_now = sim_.now();
     for (const auto &e : entries)
         e.buf->span.stamp(obs::SpanStage::BatchFlush, flush_now);
-    Queue *qp = &queue;
-    auto publish = [qp, shadow, reg, tail_val,
-                    entries = std::move(entries), simp = &sim_]() {
-        for (const auto &e : entries) {
-            auto &slot = qp->tx.slot(e.idx);
-            slot.buf = e.buf;
-            slot.len = e.buf->wireLen();
-            slot.ready = true;
-            qp->tx.stampSlot(e.idx);
-            e.buf->span.stamp(obs::SpanStage::DescPublish,
-                              simp->now());
-            if (shadow)
-                qp->txShadow[e.idx & qp->tx.mask()] = e.buf;
-        }
-        if (reg)
-            qp->txTail.publish(tail_val);
+    std::vector<PacketBuf *> *shadow =
+        cfg_.nicBufferMgmt ? nullptr : &queue.txShadow;
+    const std::uint32_t mask = queue.tx.ring.mask();
+    auto fill = [shadow, mask](std::size_t,
+                               const driver::PublishBatch::Entry &e,
+                               driver::DescRing::Slot &slot) {
+        slot.len = e.buf->wireLen();
+        if (shadow)
+            (*shadow)[e.idx & mask] = e.buf;
     };
-    co_await mem_.postMulti(queue.hostAgent, spans,
-                            std::move(publish));
-    noteSignalWrite(reg ? queue.txTail.addr()
-                        : queue.tx.lineOf(last_idx));
-    if (cfg_.signal == SignalMode::Inline && cfg_.nicBufferMgmt) {
-        // Same migratory grant-ahead as the unbatched path (§3.2).
-        for (std::uint32_t k = 0; k < desc_lines; ++k) {
-            mem_.touchLine(queue.hostAgent,
-                           queue.tx.lineOf(queue.txProd +
-                                           k * queue.tx.perLine()));
-        }
-    }
-    co_return;
-}
-
-sim::Task
-CcNic::txFlushTimerTask(int q)
-{
-    Queue &queue = *queues_[q];
-    // Half-timeout polling bounds a partial batch's hold time to
-    // 1.5x flushTimeout without a per-stage timer wheel.
-    const Tick period = std::max<Tick>(1, cfg_.batch.flushTimeout / 2);
-    for (;;) {
-        co_await sim_.delay(period);
-        // Down/quiescing device: staged buffers are reclaimed by
-        // reset(); never publish into a dead ring.
-        if (devState_ != DevState::Running)
-            continue;
-        if (!queue.txPending.empty() &&
-            queue.txPending.timedOut(sim_.now())) {
-            co_await flushTxBatch(q, /*timeout_flush=*/true);
-        }
-    }
+    const std::uint32_t lines =
+        co_await publish(queue.tx, queue.hostAgent, std::move(entries), {},
+                         obs::SpanStage::DescPublish, std::move(fill));
+    if (cfg_.signal == SignalMode::Inline && cfg_.nicBufferMgmt)
+        grantAhead(queue.tx, queue.hostAgent, lines);
 }
 
 sim::Coro<int>
@@ -632,175 +650,80 @@ CcNic::rxBurst(int q, PacketBuf **bufs, int count)
         co_return 0;
     OpScope guard(hostOps_);
     Queue &queue = *queues_[q];
+    RingEnd &rx = queue.rx;
     const auto &costs = cfg_.hostCosts;
-    const std::uint32_t per_line = queue.rx.perLine();
     co_await sim_.delay(cycles(costs.perLoop));
 
     // Integrity filter on the head RX line: a stale (torn/stuck)
     // view polls as empty; a poisoned line is retried inline.
-    if (!co_await consumeGuard(queue.rx.lineOf(queue.rxCons),
-                                mem::kLineBytes))
+    if (!co_await consumeGuard(rx.ring.lineOf(rx.cons), mem::kLineBytes))
         co_return 0;
 
     int collected = 0;
     std::vector<mem::CoherentSystem::Span> load_spans;
-    std::vector<mem::CoherentSystem::Span> clear_spans;
-    Addr last_load = ~Addr{0};
-
-    auto note_load = [&](std::uint32_t i) {
-        const Addr l = queue.rx.lineOf(i);
-        if (l != last_load) {
-            load_spans.push_back({l, mem::kLineBytes});
-            last_load = l;
-        }
-    };
 
     if (cfg_.nicBufferMgmt) {
-        std::uint32_t idx = queue.rxCons;
-        if (cfg_.signal == SignalMode::Register) {
-            // Register mode: consume strictly up to the cached tail,
-            // reloading the tail register when it looks empty.
-            if (idx == static_cast<std::uint32_t>(
-                           queue.hostRxTailCache)) {
-                noteSignalRead(queue, queue.rxTail.addr());
-                co_await mem_.load(queue.hostAgent,
-                                   queue.rxTail.addr(), 8);
-                queue.hostRxTailCache = queue.rxTail.value();
-            }
-            while (collected < count &&
-                   idx != static_cast<std::uint32_t>(
-                              queue.hostRxTailCache)) {
-                auto &slot = queue.rx.slot(idx);
-                if (!slot.ready)
-                    break; // Publish still in flight.
-                if (!queue.rx.slotValid(idx)) {
-                    integrity_.noteReject();
-                    break; // Torn/corrupt descriptor: re-poll.
-                }
-                note_load(idx);
-                bufs[collected++] = slot.buf;
-                slot.buf = nullptr;
-                slot.ready = false;
-                slot.meta = kRxEmpty;
-                queue.rx.clearStamp(idx);
-                idx++;
-            }
-        } else {
-            // CC-NIC path: NIC wrote descriptors; consume, then clear
-            // the fully-passed lines (the two-way inline signal,
-            // §3.2).
-            while (collected < count) {
-                auto &slot = queue.rx.slot(idx);
-                if (slot.ready && slot.meta != kConsumed) {
-                    if (!queue.rx.slotValid(idx)) {
-                        integrity_.noteReject();
-                        break; // Torn/corrupt descriptor: re-poll.
-                    }
-                    note_load(idx);
-                    bufs[collected++] = slot.buf;
-                    slot.meta = kConsumed;
-                    queue.rx.clearStamp(idx);
-                    idx++;
-                    continue;
-                }
-                if (!slot.ready &&
-                    cfg_.layout == RingLayout::Grouped &&
-                    (idx % per_line) != 0 &&
-                    queue.rx.lineSealed(idx)) {
-                    // Blank mid-group on a sealed line: the producer
-                    // abandoned the rest of this group. An open
-                    // (unsealed) group may still be continued by a
-                    // later batched flush, so stop there instead —
-                    // skipping would leap over live descriptors.
-                    idx = queue.rx.groupBase(idx) + per_line;
-                    continue;
-                }
-                break;
-            }
+        // Register mode: reload the tail register when the cached
+        // view looks empty.
+        if (cfg_.signal == SignalMode::Register &&
+            rx.cons == static_cast<std::uint32_t>(rx.tailCache)) {
+            noteSignalRead(queue, rx.tail.addr());
+            co_await mem_.load(queue.hostAgent, rx.tail.addr(), 8);
+            rx.tailCache = rx.tail.value();
         }
-        if (collected == 0)
+        std::vector<Taken> taken;
+        const std::uint32_t idx = consume(rx, count, taken, load_spans);
+        if (taken.empty())
             co_return 0;
-        queue.rxCons = idx;
-
+        for (const Taken &t : taken)
+            bufs[collected++] = t.buf;
+        rx.cons = idx;
         co_await mem_.accessMulti(queue.hostAgent, load_spans, false);
-
-        if (cfg_.signal == SignalMode::Inline) {
-            // Clear every line the consumer has fully passed.
-            const std::uint32_t limit = queue.rx.groupBase(idx);
-            Addr last_clear = ~Addr{0};
-            for (std::uint32_t i = queue.rxClearScan; i != limit; ++i) {
-                const Addr l = queue.rx.lineOf(i);
-                if (l != last_clear) {
-                    clear_spans.push_back({l, mem::kLineBytes});
-                    last_clear = l;
-                }
-            }
-            if (!clear_spans.empty()) {
-                Queue *qp = &queue;
-                const std::uint32_t from = queue.rxClearScan;
-                auto publish = [qp, from, limit]() {
-                    for (std::uint32_t i = from; i != limit; ++i) {
-                        auto &slot = qp->rx.slot(i);
-                        slot.ready = false;
-                        slot.meta = kRxEmpty;
-                        slot.buf = nullptr;
-                        // Recycled lines start the next lap open.
-                        qp->rx.clearSeal(i);
-                    }
-                };
-                co_await mem_.postMulti(queue.hostAgent, clear_spans,
-                                        std::move(publish));
-                noteSignalWrite(clear_spans.front().addr);
-                queue.rxClearScan = limit;
-            }
-        } else {
-            Queue *qp = &queue;
-            const std::uint64_t v = queue.rxCons;
-            std::vector<mem::CoherentSystem::Span> reg{
-                {queue.rxHead.addr(), 8}};
-            co_await mem_.postMulti(queue.hostAgent, reg,
-                                    [qp, v] { qp->rxHead.publish(v); });
-            noteSignalWrite(queue.rxHead.addr());
-        }
+        co_await release(rx, queue.hostAgent);
     } else {
         // Host-managed path (PCIe-style): consume completed slots and
         // repost blank buffers.
-        std::uint32_t idx = queue.rxCons;
-        std::vector<std::uint32_t> reposted;
+        const std::uint32_t per_line = rx.ring.perLine();
+        Addr last_load = ~Addr{0};
+        std::uint32_t idx = rx.cons;
         while (collected < count &&
-               queue.rx.slot(idx).meta == kRxCompleted) {
-            if (!queue.rx.slotValid(idx)) {
+               rx.ring.slot(idx).meta == kRxCompleted) {
+            if (!rx.ring.slotValid(idx)) {
                 integrity_.noteReject();
                 break; // Torn/corrupt completion: re-poll.
             }
-            note_load(idx);
-            bufs[collected++] = queue.rx.slot(idx).buf;
-            queue.rx.slot(idx).meta = kRxEmpty;
-            queue.rx.slot(idx).buf = nullptr;
-            queue.rx.slot(idx).ready = false;
-            queue.rx.clearStamp(idx);
+            const Addr l = rx.ring.lineOf(idx);
+            if (l != last_load) {
+                load_spans.push_back({l, mem::kLineBytes});
+                last_load = l;
+            }
+            auto &slot = rx.ring.slot(idx);
+            bufs[collected++] = slot.buf;
+            slot.meta = kRxEmpty;
+            slot.buf = nullptr;
+            slot.ready = false;
+            rx.ring.clearStamp(idx);
             idx++;
         }
         if (collected > 0)
             co_await mem_.accessMulti(queue.hostAgent, load_spans,
                                       false);
-        queue.rxCons = idx;
+        rx.cons = idx;
 
         // Repost: keep the ring full of blanks (bursted allocation).
         std::vector<mem::CoherentSystem::Span> post_spans;
         Addr last_post = ~Addr{0};
         std::vector<std::pair<std::uint32_t, PacketBuf *>> posts;
         const std::uint32_t avail_slots =
-            queue.rx.entries() - per_line -
-            (queue.rxPostProd - queue.rxCons);
-        if (avail_slots > 0 && avail_slots <= queue.rx.entries()) {
+            rx.ring.entries() - per_line - (queue.rxPostProd - rx.cons);
+        if (avail_slots > 0 && avail_slots <= rx.ring.entries()) {
             std::vector<PacketBuf *> blanks(avail_slots, nullptr);
             const int got = co_await pool_->allocBurst(
                 queue.hostAgent, cfg_.pool.largeBufBytes,
                 blanks.data(), static_cast<int>(avail_slots), q);
             for (int i = 0; i < got; ++i) {
                 posts.emplace_back(queue.rxPostProd, blanks[i]);
-                const Addr l = queue.rx.lineOf(queue.rxPostProd);
+                const Addr l = rx.ring.lineOf(queue.rxPostProd);
                 if (l != last_post) {
                     post_spans.push_back({l, mem::kLineBytes});
                     last_post = l;
@@ -809,22 +732,21 @@ CcNic::rxBurst(int q, PacketBuf **bufs, int count)
             }
         }
         if (!posts.empty()) {
-            Queue *qp = &queue;
-            auto publish = [qp, posts]() {
+            RingEnd *ep = &rx;
+            auto posted = [ep, posts]() {
                 for (const auto &[i, b] : posts) {
-                    auto &slot = qp->rx.slot(i);
+                    auto &slot = ep->ring.slot(i);
                     slot.buf = b;
                     slot.meta = kRxPosted;
-                    qp->rx.stampSlot(i);
+                    ep->ring.stampSlot(i);
                 }
             };
             co_await mem_.postMulti(queue.hostAgent, post_spans,
-                                    std::move(publish));
+                                    std::move(posted));
             if (cfg_.signal == SignalMode::Register) {
-                noteSignalWrite(queue.rxHead.addr());
-                co_await mem_.store(queue.hostAgent,
-                                    queue.rxHead.addr(), 8);
-                queue.rxHead.publish(queue.rxPostProd);
+                noteSignalWrite(rx.head.addr());
+                co_await mem_.store(queue.hostAgent, rx.head.addr(), 8);
+                rx.head.publish(queue.rxPostProd);
             }
         }
     }
@@ -853,11 +775,11 @@ CcNic::idleWait(int q, Tick deadline)
     Queue &queue = *queues_[q];
     Addr watch;
     if (cfg_.signal == SignalMode::Register && cfg_.nicBufferMgmt)
-        watch = queue.rxTail.addr();
+        watch = queue.rx.tail.addr();
     else
-        watch = queue.rx.lineOf(queue.rxCons);
-    // Bounded like every engine wait: reset() rewinds rxCons to slot 0
-    // and restarts delivery there, so a waiter parked on the old
+        watch = queue.rx.ring.lineOf(queue.rx.cons);
+    // Bounded like every engine wait: reset() rewinds rx.cons to slot
+    // 0 and restarts delivery there, so a waiter parked on the old
     // consumer line would otherwise sleep through the whole recovery.
     co_await mem_.waitLineChangeUntil(
         watch, mem_.lineVersion(watch),
@@ -869,8 +791,8 @@ sim::Task
 CcNic::nicTxTask(int q)
 {
     Queue &queue = *queues_[q];
+    RingEnd &tx = queue.tx;
     const auto &costs = cfg_.nicCosts;
-    const std::uint32_t per_line = queue.tx.perLine();
 
     for (;;) {
         // Park while wedged or not Running; reinit()/unwedge() wake us.
@@ -881,30 +803,26 @@ CcNic::nicTxTask(int q)
         // lifecycle transition is observed promptly even when the host
         // has gone quiet.
         if (cfg_.signal == SignalMode::Inline) {
-            const Addr line = queue.tx.lineOf(queue.txCons);
+            const Addr line = tx.ring.lineOf(tx.cons);
             noteSignalRead(queue, line);
             co_await mem_.load(queue.nicAgent, line, mem::kLineBytes);
-            auto &head = queue.tx.slot(queue.txCons);
+            auto &head = tx.ring.slot(tx.cons);
             if (!head.ready || head.meta == kConsumed) {
                 co_await mem_.waitLineChangeUntil(
                     line, mem_.lineVersion(line),
                     sim_.now() + cfg_.beatPeriod);
                 continue;
             }
-        } else {
-            if (static_cast<std::uint32_t>(queue.nicTxTailCache) ==
-                queue.txCons) {
-                const Addr line = queue.txTail.addr();
-                noteSignalRead(queue, line);
-                co_await mem_.load(queue.nicAgent, line, 8);
-                queue.nicTxTailCache = queue.txTail.value();
-                if (static_cast<std::uint32_t>(queue.nicTxTailCache) ==
-                    queue.txCons) {
-                    co_await mem_.waitLineChangeUntil(
-                        line, mem_.lineVersion(line),
-                        sim_.now() + cfg_.beatPeriod);
-                    continue;
-                }
+        } else if (static_cast<std::uint32_t>(tx.tailCache) == tx.cons) {
+            const Addr line = tx.tail.addr();
+            noteSignalRead(queue, line);
+            co_await mem_.load(queue.nicAgent, line, 8);
+            tx.tailCache = tx.tail.value();
+            if (static_cast<std::uint32_t>(tx.tailCache) == tx.cons) {
+                co_await mem_.waitLineChangeUntil(
+                    line, mem_.lineVersion(line),
+                    sim_.now() + cfg_.beatPeriod);
+                continue;
             }
         }
 
@@ -930,7 +848,7 @@ CcNic::nicTxTask(int q)
         // Integrity filter on the head descriptor line before
         // trusting its content (poison retried, stale re-polled).
         {
-            const Addr head_line = queue.tx.lineOf(queue.txCons);
+            const Addr head_line = tx.ring.lineOf(tx.cons);
             if (!co_await consumeGuard(head_line, mem::kLineBytes)) {
                 queue.coreLock.release();
                 co_await mem_.waitLineChangeUntil(
@@ -941,73 +859,10 @@ CcNic::nicTxTask(int q)
         }
 
         // Gather a batch of submitted descriptors.
-        struct Taken
-        {
-            std::uint32_t idx;
-            PacketBuf *buf;
-            std::uint32_t len;
-        };
         std::vector<Taken> batch;
         std::vector<mem::CoherentSystem::Span> desc_spans;
-        Addr last_line = ~Addr{0};
-        std::uint32_t idx = queue.txCons;
-
-        auto note_desc = [&](std::uint32_t i) {
-            const Addr l = queue.tx.lineOf(i);
-            if (l != last_line) {
-                desc_spans.push_back({l, mem::kLineBytes});
-                last_line = l;
-            }
-        };
-
-        if (cfg_.signal == SignalMode::Inline) {
-            while (static_cast<int>(batch.size()) < cfg_.nicBatch) {
-                auto &slot = queue.tx.slot(idx);
-                if (slot.ready && slot.meta != kConsumed) {
-                    if (!queue.tx.slotValid(idx)) {
-                        integrity_.noteReject();
-                        break; // Torn/corrupt descriptor: re-poll.
-                    }
-                    note_desc(idx);
-                    batch.push_back({idx, slot.buf, slot.len});
-                    slot.meta = kConsumed;
-                    queue.tx.clearStamp(idx);
-                    idx++;
-                    continue;
-                }
-                if (!slot.ready &&
-                    cfg_.layout == RingLayout::Grouped &&
-                    (idx % per_line) != 0 &&
-                    queue.tx.lineSealed(idx)) {
-                    // Sealed line: the host zero-padded this group.
-                    // An open group is a legal batched-publication
-                    // state — wait for the flush instead of leaping
-                    // over the descriptors it will write.
-                    idx = queue.tx.groupBase(idx) + per_line;
-                    continue;
-                }
-                break;
-            }
-        } else {
-            while (static_cast<int>(batch.size()) < cfg_.nicBatch &&
-                   idx !=
-                       static_cast<std::uint32_t>(queue.nicTxTailCache)) {
-                auto &slot = queue.tx.slot(idx);
-                if (!slot.ready)
-                    break; // Publish still in flight.
-                if (!queue.tx.slotValid(idx)) {
-                    integrity_.noteReject();
-                    break; // Torn/corrupt descriptor: re-poll.
-                }
-                note_desc(idx);
-                batch.push_back({idx, slot.buf, slot.len});
-                slot.buf = nullptr;
-                slot.ready = false;
-                queue.tx.clearStamp(idx);
-                idx++;
-            }
-        }
-
+        const std::uint32_t idx =
+            consume(tx, cfg_.nicBatch, batch, desc_spans);
         if (batch.empty()) {
             queue.coreLock.release();
             continue;
@@ -1040,7 +895,7 @@ CcNic::nicTxTask(int q)
         } else {
             for (const Taken &t : batch) {
                 co_await mem_.load(queue.nicAgent,
-                                   queue.tx.addrOf(t.idx), 16);
+                                   tx.ring.addrOf(t.idx), 16);
                 std::vector<mem::CoherentSystem::Span> one{
                     {t.buf->addr, t.buf->len}};
                 if (t.buf->nextSeg)
@@ -1053,45 +908,9 @@ CcNic::nicTxTask(int q)
                    static_cast<double>(batch.size())));
 
         // Signal consumption.
-        queue.txCons = idx;
+        tx.cons = idx;
         queue.txCompletedTotal += batch.size();
-        if (cfg_.signal == SignalMode::Inline) {
-            std::vector<mem::CoherentSystem::Span> clear_spans;
-            Addr last_clear = ~Addr{0};
-            const std::uint32_t limit = queue.tx.groupBase(idx);
-            for (std::uint32_t i = queue.txClearScan; i != limit; ++i) {
-                const Addr l = queue.tx.lineOf(i);
-                if (l != last_clear) {
-                    clear_spans.push_back({l, mem::kLineBytes});
-                    last_clear = l;
-                }
-            }
-            if (!clear_spans.empty()) {
-                Queue *qp = &queue;
-                const std::uint32_t from = queue.txClearScan;
-                auto publish = [qp, from, limit]() {
-                    for (std::uint32_t i = from; i != limit; ++i) {
-                        auto &slot = qp->tx.slot(i);
-                        slot.ready = false;
-                        slot.meta = kRxEmpty;
-                        slot.buf = nullptr;
-                        qp->tx.clearSeal(i);
-                    }
-                };
-                co_await mem_.postMulti(queue.nicAgent, clear_spans,
-                                        std::move(publish));
-                noteSignalWrite(clear_spans.front().addr);
-            }
-            queue.txClearScan = limit;
-        } else {
-            Queue *qp = &queue;
-            const std::uint64_t v = queue.txCons;
-            std::vector<mem::CoherentSystem::Span> reg{
-                {queue.txHead.addr(), 8}};
-            co_await mem_.postMulti(queue.nicAgent, reg,
-                                    [qp, v] { qp->txHead.publish(v); });
-            noteSignalWrite(queue.txHead.addr());
-        }
+        co_await release(tx, queue.nicAgent);
 
         // Hand to the wire before buffer release (segment metadata is
         // consumed by delivery).
@@ -1127,8 +946,9 @@ sim::Task
 CcNic::nicRxTask(int q)
 {
     Queue &queue = *queues_[q];
+    RingEnd &rx = queue.rx;
     const auto &costs = cfg_.nicCosts;
-    const std::uint32_t per_line = queue.rx.perLine();
+    const std::uint32_t per_line = rx.ring.perLine();
 
     for (;;) {
         while (wedged_ || devState_ != DevState::Running)
@@ -1152,11 +972,13 @@ CcNic::nicRxTask(int q)
             batch.push_back(co_await queue.rxInput.get());
         }
 
+        // The buffer each packet lands in (null: it found none).
+        std::vector<PacketBuf *> out(batch.size(), nullptr);
+        bool abandoned = false;
         if (cfg_.nicBufferMgmt) {
             // Allocate RX buffers NIC-side, size-aware (§3.4). The
             // recycling stacks make these the most recently freed TX
             // buffers, still in the NIC cache (§3.3).
-            std::vector<PacketBuf *> out(batch.size(), nullptr);
             // Burst-allocate per size class (§3.4: the NIC assigns
             // buffers with knowledge of the whole burst).
             const std::uint32_t small_cap =
@@ -1184,7 +1006,6 @@ CcNic::nicRxTask(int q)
             // bounded so a quiesce (host no longer clearing the ring)
             // cannot park this engine forever inside the core lock:
             // once the device leaves Running, abandon the batch.
-            bool abandoned = false;
             while (true) {
                 if (devState_ != DevState::Running) {
                     abandoned = true;
@@ -1195,37 +1016,31 @@ CcNic::nicRxTask(int q)
                     needed += out[i] != nullptr;
                 if (needed == 0)
                     break;
-                const std::uint32_t last_slot =
-                    queue.rxProd + needed - 1;
-                auto &slot = queue.rx.slot(last_slot);
+                const std::uint32_t last_slot = rx.prod + needed - 1;
                 if (cfg_.signal == SignalMode::Inline) {
-                    if (!slot.ready)
+                    if (!rx.ring.slot(last_slot).ready)
                         break;
-                    const Addr line = queue.rx.lineOf(last_slot);
+                    const Addr line = rx.ring.lineOf(last_slot);
                     co_await mem_.waitLineChangeUntil(
                         line, mem_.lineVersion(line),
                         sim_.now() + cfg_.beatPeriod);
-                } else {
-                    const std::uint32_t space =
-                        queue.rx.entries() - 1 -
-                        (queue.rxProd -
-                         static_cast<std::uint32_t>(
-                             queue.nicRxHeadCache));
-                    if (space >= needed)
-                        break;
-                    const Addr line = queue.rxHead.addr();
-                    noteSignalRead(queue, line);
-                    co_await mem_.load(queue.nicAgent, line, 8);
-                    queue.nicRxHeadCache = queue.rxHead.value();
-                    if (queue.rx.entries() - 1 -
-                            (queue.rxProd -
-                             static_cast<std::uint32_t>(
-                                 queue.nicRxHeadCache)) <
-                        needed) {
-                        co_await mem_.waitLineChangeUntil(
-                            line, mem_.lineVersion(line),
-                            sim_.now() + cfg_.beatPeriod);
-                    }
+                    continue;
+                }
+                auto space = [&] {
+                    return rx.ring.entries() - 1 -
+                           (rx.prod -
+                            static_cast<std::uint32_t>(rx.headCache));
+                };
+                if (space() >= needed)
+                    break;
+                const Addr line = rx.head.addr();
+                noteSignalRead(queue, line);
+                co_await mem_.load(queue.nicAgent, line, 8);
+                rx.headCache = rx.head.value();
+                if (space() < needed) {
+                    co_await mem_.waitLineChangeUntil(
+                        line, mem_.lineVersion(line),
+                        sim_.now() + cfg_.beatPeriod);
                 }
             }
             if (abandoned) {
@@ -1241,195 +1056,95 @@ CcNic::nicRxTask(int q)
                         queue.nicAgent, give.data(),
                         static_cast<int>(give.size()), q);
                 }
-                queue.coreLock.release();
-                continue;
-            }
-
-            // Write payloads and descriptors together (posted stores).
-            std::vector<mem::CoherentSystem::Span> spans;
-            Addr last_line = ~Addr{0};
-            std::vector<std::pair<std::uint32_t, std::size_t>> placed;
-            std::uint32_t idx = queue.rxProd;
-            for (std::size_t i = 0; i < batch.size(); ++i) {
-                if (!out[i])
-                    continue;
-                spans.push_back({out[i]->addr, batch[i].len});
-                const Addr l = queue.rx.lineOf(idx);
-                if (l != last_line) {
-                    spans.push_back({l, mem::kLineBytes});
-                    last_line = l;
-                }
-                placed.emplace_back(idx, i);
-                idx++;
-            }
-            // Partial group: zero-pad and seal when publishing
-            // immediately; leave the group open under batching so the
-            // next gather's flush continues mid-group.
-            constexpr std::uint32_t kNoSeal = ~0u;
-            std::uint32_t seal_idx = kNoSeal;
-            if (cfg_.layout == RingLayout::Grouped &&
-                cfg_.signal == SignalMode::Inline &&
-                (idx % per_line) != 0 && !cfg_.batch.enabled()) {
-                seal_idx = idx;
-                idx = queue.rx.groupBase(idx) + per_line;
-            }
-
-            co_await sim_.delay(
-                cycles((costs.perPktTx + costs.perDesc) *
-                       static_cast<double>(placed.size())));
-            queue.rxProd = idx;
-            if (cfg_.batch.enabled() && !placed.empty()) {
-                // The device publishes once per gathered batch (the
-                // mailbox drain already coalesces arrivals); route
-                // the flush through the shared accumulator so the
-                // adaptive target and occupancy metrics see it. A
-                // drain that emptied the wire below target is an
-                // idle flush; a full gather is a target-size flush.
-                for (const auto &[slot_idx, pkt_idx] : placed) {
-                    queue.rxDevPending.stage(slot_idx, out[pkt_idx],
-                                             sim_.now());
-                }
-                const bool idle = !queue.rxDevPending.full();
-                (void)queue.rxDevPending.take(
-                    idle, static_cast<std::uint32_t>(
-                              queue.rxInput.size()));
-                noteBatchFlush(q, idle ? "idle" : "full", placed.size());
-            }
-            {
-                Queue *qp = &queue;
-                const bool reg = cfg_.signal == SignalMode::Register;
-                const std::uint64_t tail_val = queue.rxProd;
-                if (reg)
-                    spans.push_back({queue.rxTail.addr(), 8});
-                auto publish = [qp, reg, tail_val, seal_idx, placed,
-                                out, batch, simp = &sim_]() {
-                    for (const auto &[slot_idx, pkt_idx] : placed) {
-                        PacketBuf *b = out[pkt_idx];
-                        b->len = batch[pkt_idx].len;
-                        b->txTime = batch[pkt_idx].txTime;
-                        b->flowId = batch[pkt_idx].flowId;
-                        b->userData = batch[pkt_idx].userData;
-                        b->src = batch[pkt_idx].src;
-                        b->dst = batch[pkt_idx].dst;
-                        b->tp = batch[pkt_idx].tp;
-                        // Overwrites any stale slot on the recycled
-                        // buffer; stamped at store-completion time
-                        // (the host cannot reap before this runs).
-                        b->span = batch[pkt_idx].span;
-                        b->span.stamp(obs::SpanStage::RxPublish,
-                                      simp->now());
-                        auto &slot = qp->rx.slot(slot_idx);
-                        slot.buf = b;
-                        slot.len = b->len;
-                        slot.ready = true;
-                        qp->rx.stampSlot(slot_idx);
-                    }
-                    if (seal_idx != kNoSeal)
-                        qp->rx.sealLine(seal_idx);
-                    if (reg)
-                        qp->rxTail.publish(tail_val);
-                };
-                co_await mem_.postMulti(queue.nicAgent, spans,
-                                        std::move(publish));
-                if (!spans.empty()) {
-                    noteSignalWrite(reg ? queue.rxTail.addr()
-                                        : spans.back().addr);
-                }
-            }
-            if (cfg_.signal == SignalMode::Inline) {
-                // Grant-ahead the next RX ring lines (§3.2).
-                const std::uint32_t nlines = std::max<std::uint32_t>(
-                    1, static_cast<std::uint32_t>(placed.size()) /
-                           per_line);
-                for (std::uint32_t k = 0; k < nlines; ++k) {
-                    mem_.touchLine(queue.nicAgent,
-                                   queue.rx.lineOf(queue.rxProd +
-                                                   k * per_line));
-                }
             }
         } else {
-            // Host-posted buffers (PCIe-style): wait for blanks, fill
-            // them, flip the descriptor to completed.
-            std::vector<mem::CoherentSystem::Span> spans;
-            Addr last_line = ~Addr{0};
-            std::vector<std::pair<std::uint32_t, std::size_t>> placed;
-            bool abandoned = false;
-            std::uint32_t post_idx = queue.rxPostCons;
-            for (std::size_t i = 0; i < batch.size(); ++i) {
-                // Bounded waits, as on the CC-NIC path: a host that
-                // stopped posting blanks (quiesce) must not park this
-                // engine inside the core lock.
-                while (queue.rx.slot(post_idx).meta != kRxPosted) {
+            // Host-posted buffers (PCIe-style): wait for blanks in
+            // order. Bounded waits, as above: a host that stopped
+            // posting (quiesce) must not park this engine inside the
+            // core lock.
+            std::uint32_t post_idx = rx.prod;
+            for (std::size_t i = 0; i < batch.size() && !abandoned; ++i) {
+                while (rx.ring.slot(post_idx).meta != kRxPosted) {
                     if (devState_ != DevState::Running) {
                         abandoned = true;
                         break;
                     }
-                    const Addr line = queue.rx.lineOf(post_idx);
+                    const Addr line = rx.ring.lineOf(post_idx);
                     noteSignalRead(queue, line);
                     co_await mem_.load(queue.nicAgent, line,
                                        mem::kLineBytes);
-                    if (queue.rx.slot(post_idx).meta == kRxPosted)
+                    if (rx.ring.slot(post_idx).meta == kRxPosted)
                         break;
                     co_await mem_.waitLineChangeUntil(
                         line, mem_.lineVersion(line),
                         sim_.now() + cfg_.beatPeriod);
                 }
-                if (abandoned)
-                    break;
-                PacketBuf *b = queue.rx.slot(post_idx).buf;
-                spans.push_back({b->addr, batch[i].len});
-                const Addr l = queue.rx.lineOf(post_idx);
-                if (l != last_line) {
-                    spans.push_back({l, mem::kLineBytes});
-                    last_line = l;
-                }
-                placed.emplace_back(post_idx, i);
-                post_idx++;
+                if (!abandoned)
+                    out[i] = rx.ring.slot(post_idx++).buf;
             }
-            if (abandoned) {
-                // Drop the remaining packets; posted blanks stay in
-                // the ring (reset() reclaims them).
-                queue.coreLock.release();
+            // Abandoned: the remaining packets are dropped; posted
+            // blanks stay in the ring (reset() reclaims them).
+        }
+        if (abandoned) {
+            queue.coreLock.release();
+            continue;
+        }
+
+        // Write payloads and descriptors together (posted stores).
+        std::vector<std::uint32_t> payload;
+        std::vector<WirePacket> wires;
+        std::vector<PacketBuf *> placed;
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            if (!out[i])
                 continue;
-            }
-            queue.rxPostCons = post_idx;
-            co_await sim_.delay(
-                cycles((costs.perPktTx + costs.perDesc) *
-                       static_cast<double>(placed.size())));
-            {
-                Queue *qp = &queue;
-                const bool reg = cfg_.signal == SignalMode::Register;
-                const std::uint64_t tail_val = queue.rxPostCons;
-                if (reg)
-                    spans.push_back({queue.rxTail.addr(), 8});
-                auto publish = [qp, reg, tail_val, placed, batch,
-                                simp = &sim_]() {
-                    for (const auto &[slot_idx, pkt_idx] : placed) {
-                        auto &slot = qp->rx.slot(slot_idx);
-                        PacketBuf *b = slot.buf;
-                        b->len = batch[pkt_idx].len;
-                        b->txTime = batch[pkt_idx].txTime;
-                        b->flowId = batch[pkt_idx].flowId;
-                        b->userData = batch[pkt_idx].userData;
-                        b->src = batch[pkt_idx].src;
-                        b->dst = batch[pkt_idx].dst;
-                        b->tp = batch[pkt_idx].tp;
-                        b->span = batch[pkt_idx].span;
-                        b->span.stamp(obs::SpanStage::RxPublish,
-                                      simp->now());
-                        slot.len = b->len;
-                        slot.meta = kRxCompleted;
-                        slot.ready = true;
-                        qp->rx.stampSlot(slot_idx);
-                    }
-                    if (reg)
-                        qp->rxTail.publish(tail_val);
-                };
-                co_await mem_.postMulti(queue.nicAgent, spans,
-                                        std::move(publish));
-                noteSignalWrite(reg ? queue.rxTail.addr()
-                                    : spans.back().addr);
-            }
+            placed.push_back(out[i]);
+            wires.push_back(batch[i]);
+            payload.push_back(batch[i].len);
+        }
+        // Host-posted slots are completed in order, never skipped.
+        const std::uint32_t first_slot = rx.prod;
+        std::uint32_t next =
+            first_slot + static_cast<std::uint32_t>(placed.size());
+        if (cfg_.nicBufferMgmt)
+            next = padGroup(rx, next);
+        co_await sim_.delay(
+            cycles((costs.perPktTx + costs.perDesc) *
+                   static_cast<double>(placed.size())));
+        rx.prod = next;
+        // The device publishes once per gathered batch (the mailbox
+        // drain already coalesces arrivals); route it through the
+        // batch accumulator so the adaptive target and occupancy
+        // metrics see it. A drain that emptied the wire below target
+        // is an idle flush; a full gather is a target-size flush.
+        for (std::size_t k = 0; k < placed.size(); ++k) {
+            queue.rxDevPending.stage(
+                first_slot + static_cast<std::uint32_t>(k), placed[k],
+                sim_.now());
+        }
+        auto entries = takeBatch(
+            q, queue.rxDevPending,
+            queue.rxDevPending.full() ? FlushReason::Full
+                                      : FlushReason::Idle,
+            static_cast<std::uint32_t>(queue.rxInput.size()));
+        const bool completion = !cfg_.nicBufferMgmt;
+        auto fill = [wires = std::move(wires), completion](
+                        std::size_t k, const driver::PublishBatch::Entry &e,
+                        driver::DescRing::Slot &slot) {
+            // Overwrites any stale span slot on the recycled buffer.
+            driver::fillFromWire(*e.buf, wires[k]);
+            slot.len = e.buf->len;
+            if (completion)
+                slot.meta = kRxCompleted;
+        };
+        co_await publish(rx, queue.nicAgent, std::move(entries),
+                         std::move(payload), obs::SpanStage::RxPublish,
+                         std::move(fill));
+        if (cfg_.nicBufferMgmt && cfg_.signal == SignalMode::Inline) {
+            // Grant-ahead the next RX ring lines (§3.2).
+            grantAhead(rx, queue.nicAgent,
+                       std::max<std::uint32_t>(
+                           1, static_cast<std::uint32_t>(placed.size()) /
+                                  per_line));
         }
 
         queue.coreLock.release();

@@ -42,7 +42,6 @@ namespace ccn::ccnic {
 
 /// The wire types live in the driver layer, which owns the wire
 /// hooks; these names are kept for code written against ccnic::.
-using driver::fcsOk;
 using driver::WirePacket;
 using driver::wireFcs;
 
@@ -168,40 +167,61 @@ class CcNic : public driver::NicInterface
     std::uint64_t signalWrites() const { return signalWrites_; }
 
   private:
+    /**
+     * One ring and its signals, in either direction. Both rings run
+     * the same line protocol (§3.2): the producer (host for TX, NIC
+     * for RX) writes descriptors with inline ready flags, or bumps the
+     * tail register; the consumer takes them and clears the lines, or
+     * bumps the head register. The positions and register caches are
+     * those of whichever side plays each role.
+     */
+    struct RingEnd
+    {
+        RingEnd(mem::CoherentSystem &m, int home_socket,
+                const CcNicConfig &cfg)
+            : ring(m, home_socket, cfg.ringEntries, cfg.layout)
+        {}
+
+        /** Zero positions and caches; clear both register lines. */
+        void rewind();
+
+        driver::DescRing ring;
+        driver::RegisterLine tail; ///< Producer-bumped (Register mode).
+        driver::RegisterLine head; ///< Consumer-bumped (Register mode).
+        std::uint32_t prod = 0;
+        std::uint32_t cons = 0;
+        std::uint32_t clearScan = 0;  ///< Line clears lag consumption.
+        std::uint64_t headCache = 0;  ///< Producer's view of head.
+        std::uint64_t tailCache = 0;  ///< Consumer's view of tail.
+    };
+
+    /** One descriptor taken by a consumer scan. */
+    struct Taken
+    {
+        std::uint32_t idx;
+        driver::PacketBuf *buf;
+        std::uint32_t len;
+    };
+
     struct Queue
     {
         Queue(sim::Simulator &sim, mem::CoherentSystem &m,
               const CcNicConfig &cfg, int host_socket, int nic_socket,
               WirePort &port);
 
-
         mem::AgentId hostAgent;
         mem::AgentId nicAgent;
 
-        driver::DescRing tx;
-        driver::DescRing rx;
-        driver::RegisterLine txTail, txHead, rxTail, rxHead;
+        RingEnd tx; ///< Host produces, NIC consumes.
+        /// NIC produces, host consumes. With host-managed buffers the
+        /// NIC completes posted slots in order, so rx.prod is also
+        /// its position in the host's posts.
+        RingEnd rx;
 
-        // Host producer/consumer positions.
-        std::uint32_t txProd = 0;
-        std::uint32_t rxCons = 0;
-        std::uint32_t rxClearScan = 0; ///< Clears lag consumption.
         // Host-managed-mode bookkeeping.
         std::uint32_t txFreeScan = 0;
         std::uint32_t rxPostProd = 0;
         std::vector<driver::PacketBuf *> txShadow;
-
-        // NIC positions.
-        std::uint32_t txCons = 0;
-        std::uint32_t txClearScan = 0;
-        std::uint32_t rxProd = 0;
-        std::uint32_t rxPostCons = 0;
-
-        // Register-signal caches.
-        std::uint64_t hostTxHeadCache = 0;
-        std::uint64_t nicTxTailCache = 0;
-        std::uint64_t hostRxTailCache = 0;
-        std::uint64_t nicRxHeadCache = 0;
 
         sim::Mailbox<WirePacket> &rxInput; ///< Wire port input.
         sim::Semaphore coreLock; ///< One NIC core serves both tasks.
@@ -214,7 +234,7 @@ class CcNic : public driver::NicInterface
         std::uint64_t rxDeliveredTotal = 0;
 
         /// Host-side TX publish staging (batched signal publication);
-        /// empty whenever cfg.batch is off.
+        /// empty outside a burst whenever cfg.batch is off.
         driver::PublishBatch txPending;
         /// Device-side RX publication accounting: tracks the adaptive
         /// target and flush occupancy for the NIC's already-batched
@@ -241,19 +261,76 @@ class CcNic : public driver::NicInterface
      * "<regionTag>.tx_ring[qN]"-style names.
      */
     void registerProfRegions() override;
+    driver::PublishBatch &timedBatch(int q) override
+    {
+        return queues_[q]->txPending;
+    }
+    sim::Coro<void> flushTimedBatch(int q) override
+    {
+        return flushTx(q, FlushReason::Timeout);
+    }
     /// @}
 
     sim::Task nicTxTask(int q);
     sim::Task nicRxTask(int q);
 
-    /// @name Batched signal publication (Fig 16).
+    /**
+     * Publish everything staged on queue @p q's TX ring as one posted
+     * store group: descriptor contents, ready flags and the signal.
+     */
+    sim::Coro<void> flushTx(int q, FlushReason reason);
+
+    /// @name The ring protocol, shared by both rings.
     /// @{
-    /** Publish everything staged on queue @p q as one posted-store
-     *  group (descriptor contents + ready flags + signal). */
-    sim::Coro<void> flushTxBatch(int q, bool timeout_flush);
-    /** Per-queue timer bounding how long a partial batch may hold a
-     *  packet back (checks at flushTimeout/2 granularity). */
-    sim::Task txFlushTimerTask(int q);
+    /**
+     * Where a producer that has filled slots up to @p idx continues.
+     * Unbatched, a partial final Grouped group is zero-padded and the
+     * producer skips to the next line; publish() seals it so the
+     * consumer knows the blanks are permanent (§3.2). Batched, the
+     * group stays open: the next flush continues mid-group.
+     */
+    std::uint32_t padGroup(const RingEnd &e, std::uint32_t idx) const;
+
+    /**
+     * Producer publish of @p entries on @p e from @p agent: the ring
+     * lines (each entry's @p payload bytes at its buffer first, when
+     * given) and, in Register mode, the tail register, as one posted
+     * store group. At store completion @p fill(k, entries[k], slot)
+     * finishes entry k's buffer and sets the slot length; its span is
+     * stamped with @p stage and the slot marked ready. A line left
+     * behind by padGroup() is sealed. Returns the ring lines written.
+     */
+    template <typename Fill>
+    sim::Coro<std::uint32_t>
+    publish(RingEnd &e, mem::AgentId agent,
+            std::vector<driver::PublishBatch::Entry> entries,
+            std::vector<std::uint32_t> payload, obs::SpanStage stage,
+            Fill fill);
+
+    /**
+     * Read-ahead the @p lines ring lines the producer writes next:
+     * the capacity check doubles as a migratory ownership grant, so
+     * the next publish's stores hit locally (§3.2).
+     */
+    void grantAhead(RingEnd &e, mem::AgentId agent, std::uint32_t lines);
+
+    /**
+     * Consumer scan from e.cons: take up to @p max published
+     * descriptors into @p taken and their ring lines into @p lines.
+     * Inline mode follows ready flags and skips the blanks of sealed
+     * lines; Register mode stops at the cached tail. A torn descriptor
+     * ends the scan. Returns the new consumer position; the caller
+     * commits it to e.cons.
+     */
+    std::uint32_t consume(RingEnd &e, int max, std::vector<Taken> &taken,
+                          std::vector<mem::CoherentSystem::Span> &lines);
+
+    /**
+     * Consumer release up to e.cons from @p agent: clear every line
+     * the consumer has fully passed (Inline) or bump the head
+     * register (Register).
+     */
+    sim::Coro<void> release(RingEnd &e, mem::AgentId agent);
     /// @}
 
     /// @name Signal telemetry: counts ring-signal reads/publishes and

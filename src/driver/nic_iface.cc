@@ -80,8 +80,11 @@ NicInterface::start()
 {
     assert(!started_);
     started_ = true;
-    for (int q = 0; q < numQueues(); ++q)
+    for (int q = 0; q < numQueues(); ++q) {
         spawnEngines(q);
+        if (timedBatch(q).policy().enabled())
+            sim_.spawn(flushTimerTask(q));
+    }
     sim_.spawn(heartbeatTask());
 }
 
@@ -111,12 +114,37 @@ NicInterface::freeBufs(int q, PacketBuf **bufs, int count)
     co_return;
 }
 
-void
-NicInterface::noteBatchFlush(int q, const char *reason, std::size_t n)
+std::vector<PublishBatch::Entry>
+NicInterface::takeBatch(int q, PublishBatch &batch, FlushReason reason,
+                        std::uint32_t backlog)
 {
-    batchFlushTotal_++;
-    batchFlushes_.at(reason)++;
-    *batchOcc_[static_cast<std::size_t>(q)] += n;
+    if (batch.empty())
+        return {};
+    auto entries = batch.take(reason != FlushReason::Full, backlog);
+    if (batch.policy().enabled()) {
+        static const char *const kReasons[] = {"full", "timeout", "idle"};
+        batchFlushTotal_++;
+        batchFlushes_.at(kReasons[static_cast<int>(reason)])++;
+        *batchOcc_[static_cast<std::size_t>(q)] += entries.size();
+    }
+    return entries;
+}
+
+sim::Task
+NicInterface::flushTimerTask(int q)
+{
+    PublishBatch &batch = timedBatch(q);
+    // Half-timeout polling bounds a partial batch's hold to 1.5x
+    // flushTimeout without a per-entry timer wheel.
+    const sim::Tick period =
+        std::max<sim::Tick>(1, batch.policy().flushTimeout / 2);
+    for (;;) {
+        co_await sim_.delay(period);
+        // A down or quiescing device publishes nothing: reset()
+        // reclaims whatever the batch still holds.
+        if (devState_ == DevState::Running && batch.timedOut(sim_.now()))
+            co_await flushTimedBatch(q);
+    }
 }
 
 void

@@ -12,9 +12,12 @@
  * NicInterface implements the lifecycle once: the Running → Quiescing
  * → Down state machine and host-op drain, quiesce()/reset()/reinit(),
  * the heartbeat, the buffer pool, the wire hooks, datapath integrity
- * and profiler-region teardown. A family supplies its datapath plus
- * the hooks in the protected section (engine spawn and drain, the
- * per-queue reclaim sweep, its profiler regions, queue health).
+ * and profiler-region teardown. It also owns batched publication's
+ * bookkeeping: the flush counters and the one flush timer that bounds
+ * how long a host-side batch may hold a packet back. A family supplies
+ * its datapath plus the hooks in the protected section (engine spawn
+ * and drain, the per-queue reclaim sweep, its profiler regions, queue
+ * health, its timed batch and that batch's flush).
  */
 
 #ifndef CCN_DRIVER_NIC_IFACE_HH
@@ -273,6 +276,19 @@ class NicInterface
     NicInterface(sim::Simulator &sim, mem::CoherentSystem &mem_system,
                  const DeviceSpec &spec);
 
+    /**
+     * Why a batch is published. Every burst stages into its family's
+     * PublishBatch and publishes through one flush function; with
+     * batching off the flush follows at the end of the burst, as
+     * though the batch of one burst were full.
+     */
+    enum class FlushReason : std::uint8_t
+    {
+        Full,    ///< The batch reached its target (or batching is off).
+        Timeout, ///< The flush timer caught an old partial batch.
+        Idle,    ///< The producer ran out of work behind the batch.
+    };
+
     /** Device lifecycle state. */
     enum class DevState : std::uint8_t
     {
@@ -300,8 +316,18 @@ class NicInterface
 
     /// @name Family hooks.
     /// @{
-    /** Spawn queue @p q's device engines (and its flush timer). */
+    /** Spawn queue @p q's device engines. */
     virtual void spawnEngines(int q) = 0;
+
+    /**
+     * The host-side batch on queue @p q whose hold the shared flush
+     * timer bounds: CcNic's staged TX descriptors, PcieNic's deferred
+     * doorbell, PioNic's RX credit returns.
+     */
+    virtual PublishBatch &timedBatch(int q) = 0;
+
+    /** Publish timedBatch(@p q): its oldest entry has timed out. */
+    virtual sim::Coro<void> flushTimedBatch(int q) = 0;
 
     /**
      * Agent doing the device's buffer and liveness work in coherent
@@ -345,12 +371,16 @@ class NicInterface
     /// @}
 
     /**
-     * Count one coalesced flush of @p n entries on queue @p q, in
-     * "<prefix>.batch_flushes{reason=...}" and in the queue's
-     * "<prefix>.batch_occupancy" child (divide by flushes for the
-     * mean occupancy).
+     * Drain @p batch on queue @p q for one flush and return its
+     * entries. @p backlog is the work still waiting behind the batch
+     * (drives adaptive growth). With batching on, the flush is counted
+     * in "<prefix>.batch_flushes{reason=...}" and its size in the
+     * queue's "<prefix>.batch_occupancy" child (divide by flushes for
+     * the mean occupancy); with it off, nothing is counted.
      */
-    void noteBatchFlush(int q, const char *reason, std::size_t n);
+    std::vector<PublishBatch::Entry> takeBatch(int q, PublishBatch &batch,
+                                               FlushReason reason,
+                                               std::uint32_t backlog);
 
     /** TX checksum offload plus wire delivery (loopback or sink). */
     void deliverTx(int q, const WirePacket &pkt);
@@ -402,6 +432,9 @@ class NicInterface
 
   private:
     sim::Task heartbeatTask();
+    /** Publishes queue @p q's timed batch once it has waited out the
+     *  policy's flushTimeout. */
+    sim::Task flushTimerTask(int q);
     void unregisterProfRegions();
 
     DeviceSpec spec_;

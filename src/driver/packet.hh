@@ -151,6 +151,24 @@ wireFrom(PacketBuf &buf, std::uint32_t len)
 }
 
 /**
+ * Restore @p pkt's contents into the receive buffer @p buf: length,
+ * logical payload, fabric addressing, transport header and the span
+ * slot riding the wire (the inverse of wireFrom()).
+ */
+inline void
+fillFromWire(PacketBuf &buf, const WirePacket &pkt)
+{
+    buf.len = pkt.len;
+    buf.txTime = pkt.txTime;
+    buf.flowId = pkt.flowId;
+    buf.userData = pkt.userData;
+    buf.src = pkt.src;
+    buf.dst = pkt.dst;
+    buf.tp = pkt.tp;
+    buf.span = pkt.span;
+}
+
+/**
  * CRC-32C over the packet's logical contents. Fabric addressing is
  * excluded from the covered fields because the source address is
  * stamped by the fabric port after the NIC computes the FCS.

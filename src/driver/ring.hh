@@ -424,6 +424,9 @@ class DescRing
 class RegisterLine
 {
   public:
+    /** No line yet: assign a constructed one before use. */
+    RegisterLine() = default;
+
     RegisterLine(mem::CoherentSystem &mem_system, int home_socket)
         : addr_(mem_system.alloc(home_socket, mem::kLineBytes,
                                  mem::kLineBytes))
@@ -437,7 +440,7 @@ class RegisterLine
     void publish(std::uint64_t v) { value_ = v; }
 
   private:
-    mem::Addr addr_;
+    mem::Addr addr_ = 0;
     std::uint64_t value_ = 0;
 };
 

@@ -182,8 +182,6 @@ PcieNic::spawnEngines(int q)
 {
     sim_.spawn(devTxEngine(q));
     sim_.spawn(devRxEngine(q));
-    if (params_.batch.enabled())
-        sim_.spawn(txDoorbellTimerTask(q));
 }
 
 sim::Coro<void>
@@ -363,48 +361,29 @@ PcieNic::txBurst(int q, PacketBuf **bufs, int count)
     queue.txProd += count;
     queue.txSubmittedTotal += static_cast<std::uint64_t>(count);
 
-    if (params_.batch.enabled()) {
-        // Coalesced path: defer the MMIO tail update until enough
-        // descriptors accumulate (or the flush timer fires).
-        for (const Pending &p : pending)
-            queue.dbPending.stage(p.idx, nullptr, sim_.now());
-        if (queue.dbPending.full())
-            co_await flushTxDoorbell(q, /*timeout_flush=*/false);
-        co_return count;
-    }
-
-    // Doorbell. CX6-style devices inline the first descriptors into a
-    // WC doorbell write; E810 uses a plain UC tail update.
-    const std::uint32_t tail = queue.txProd;
-    queue.dbFlushedTail = tail;
-    doorbells_++;
-    (*queue.doorbellsQ)++;
-    obs::tracepoint(obs::EventKind::RingDoorbell, "pcie.tx_tail",
-                    sim_.now(), tail);
-    if (params_.inlineDoorbellDesc) {
-        co_await queue.wc.store(0xD0000000ULL + 64 * q, 64);
-        co_await queue.wc.fence();
-    } else {
-        co_await link_.mmioUcWrite(4);
-    }
-    Queue *qp = &queue;
-    sim_.scheduleCallback(sim_.now() + link_.doorbellTransit(),
-                          [qp, tail] { qp->doorbells.put(tail); });
+    // Defer the MMIO tail update until enough descriptors accumulate
+    // (the flush timer bounds the wait); with batching off, ring it
+    // for this burst now.
+    for (const Pending &p : pending)
+        queue.dbPending.stage(p.idx, nullptr, sim_.now());
+    if (!params_.batch.enabled() || queue.dbPending.full())
+        co_await flushTxDoorbell(q, FlushReason::Full);
     co_return count;
 }
 
 sim::Coro<void>
-PcieNic::flushTxDoorbell(int q, bool timeout_flush)
+PcieNic::flushTxDoorbell(int q, FlushReason reason)
 {
     Queue &queue = *queues_[q];
-    const std::uint32_t backlog = queue.txProd - queue.devTxCons;
-    const auto entries = queue.dbPending.take(timeout_flush, backlog);
+    const auto entries = takeBatch(q, queue.dbPending, reason,
+                                   queue.txProd - queue.devTxCons);
     if (entries.empty())
         co_return;
-    noteBatchFlush(q, timeout_flush ? "timeout" : "full", entries.size());
 
     // One MMIO write announces every pending descriptor: the tail
-    // moves past the newest staged index.
+    // moves past the newest staged index. CX6-style devices inline
+    // the first descriptors into a WC doorbell write; E810 uses a
+    // plain UC tail update.
     const std::uint32_t tail = entries.back().idx + 1;
     queue.dbFlushedTail = tail;
     doorbells_++;
@@ -421,22 +400,6 @@ PcieNic::flushTxDoorbell(int q, bool timeout_flush)
     sim_.scheduleCallback(sim_.now() + link_.doorbellTransit(),
                           [qp, tail] { qp->doorbells.put(tail); });
     co_return;
-}
-
-sim::Task
-PcieNic::txDoorbellTimerTask(int q)
-{
-    Queue &queue = *queues_[q];
-    const Tick period =
-        std::max<Tick>(1, params_.batch.flushTimeout / 2);
-    for (;;) {
-        co_await sim_.delay(period);
-        if (wedged_ || devState_ != DevState::Running)
-            continue; // reset() drops the stale pending batch.
-        if (!queue.dbPending.empty() &&
-            queue.dbPending.timedOut(sim_.now()))
-            co_await flushTxDoorbell(q, /*timeout_flush=*/true);
-    }
 }
 
 sim::Coro<int>
@@ -720,14 +683,7 @@ PcieNic::devRxEngine(int q)
         for (auto &[idx, i] : placed) {
             auto &slot = queue.rx.slot(idx);
             PacketBuf *b = slot.buf;
-            b->len = batch[i].len;
-            b->txTime = batch[i].txTime;
-            b->flowId = batch[i].flowId;
-            b->userData = batch[i].userData;
-            b->src = batch[i].src;
-            b->dst = batch[i].dst;
-            b->tp = batch[i].tp;
-            b->span = batch[i].span;
+            driver::fillFromWire(*b, batch[i]);
             b->span.stamp(obs::SpanStage::RxPublish, sim_.now());
             slot.len = b->len;
             slot.meta = kRxCompleted;

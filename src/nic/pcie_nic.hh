@@ -171,18 +171,22 @@ class PcieNic : public driver::NicInterface
     void registerProfRegions() override;
     /** DDIO writeback of the device beat line, by posted DMA. */
     sim::Coro<void> beatDevice() override;
+    driver::PublishBatch &timedBatch(int q) override
+    {
+        return queues_[q]->dbPending;
+    }
+    sim::Coro<void> flushTimedBatch(int q) override
+    {
+        return flushTxDoorbell(q, FlushReason::Timeout);
+    }
     /// @}
 
     sim::Task devTxEngine(int q);
     sim::Task devRxEngine(int q);
 
-    /// @name Doorbell coalescing (Fig 16).
-    /// @{
-    /** Ring one MMIO doorbell covering every pending descriptor. */
-    sim::Coro<void> flushTxDoorbell(int q, bool timeout_flush);
-    /** Bounds how long a partial batch may defer its doorbell. */
-    sim::Task txDoorbellTimerTask(int q);
-    /// @}
+    /** Ring one MMIO doorbell covering every pending descriptor
+     *  (doorbell coalescing, Fig 16). */
+    sim::Coro<void> flushTxDoorbell(int q, FlushReason reason);
 
     NicParams params_;
     driver::CpuCosts costs_;

@@ -155,8 +155,6 @@ PioNic::spawnEngines(int q)
 {
     sim_.spawn(devTxTask(q));
     sim_.spawn(devRxTask(q));
-    if (cfg_.batch.enabled())
-        sim_.spawn(rxCreditTimerTask(q));
 }
 
 mem::AgentId
@@ -442,37 +440,18 @@ PioNic::devTxTask(int q)
 
         // Credit return: flip the consumed slots back to Free in slot
         // metadata (posted stores; the host's capacity check sees the
-        // flip at visibility).
+        // flip at visibility). Coalescing holds the credits until
+        // enough accumulate or the head runs dry (an idle device
+        // flushes immediately so a stalled producer never waits on a
+        // timer); with batching off they return now.
         queue.txCons = idx;
         queue.txCompletedTotal += batch.size();
-        if (cfg_.batch.enabled()) {
-            // Coalesce: hold the credits until enough accumulate or
-            // the head runs dry (an idle device flushes immediately so
-            // a stalled producer is never waiting on a timer).
-            for (const Taken &t : batch)
-                queue.txCreditPending.stage(t.idx, nullptr,
-                                            sim_.now());
-            const bool idle =
-                txSlot(queue, idx).state != SlotState::Ready;
-            if (queue.txCreditPending.full())
-                co_await flushTxCredits(q, /*idle_flush=*/false);
-            else if (idle)
-                co_await flushTxCredits(q, /*idle_flush=*/true);
-        } else {
-            Queue *qp = &queue;
-            std::vector<std::uint32_t> taken_idx;
-            taken_idx.reserve(batch.size());
-            for (const Taken &t : batch)
-                taken_idx.push_back(t.idx);
-            auto publish = [this, qp, taken_idx]() {
-                for (std::uint32_t i : taken_idx)
-                    txSlot(*qp, i).state = SlotState::Free;
-            };
-            co_await mem_.postMulti(queue.nicAgent, spans,
-                                    std::move(publish));
-            co_await devPortDelay();
-            noteSlotWrite(spans.front().addr);
-        }
+        for (const Taken &t : batch)
+            queue.txCreditPending.stage(t.idx, nullptr, sim_.now());
+        if (!cfg_.batch.enabled() || queue.txCreditPending.full())
+            co_await flushTxCredits(q, FlushReason::Full);
+        else if (txSlot(queue, idx).state != SlotState::Ready)
+            co_await flushTxCredits(q, FlushReason::Idle);
 
         // Hand to the wire before buffer release.
         for (const Taken &t : batch)
@@ -632,80 +611,52 @@ PioNic::devRxTask(int q)
 }
 
 sim::Coro<void>
-PioNic::flushTxCredits(int q, bool idle_flush)
+PioNic::flushTxCredits(int q, FlushReason reason)
 {
     Queue &queue = *queues_[q];
-    const auto entries = queue.txCreditPending.take(
-        idle_flush, queue.txProd - queue.txCons);
+    const auto entries = takeBatch(q, queue.txCreditPending, reason,
+                                   queue.txProd - queue.txCons);
     if (entries.empty())
         co_return;
-    noteBatchFlush(q, idle_flush ? "idle" : "full", entries.size());
 
     std::vector<mem::CoherentSystem::Span> spans;
-    std::vector<std::uint32_t> idxs;
-    idxs.reserve(entries.size());
-    for (const auto &e : entries) {
-        idxs.push_back(e.idx);
+    for (const auto &e : entries)
         spans.push_back({txLineOf(queue, e.idx), slotBytes()});
-    }
     Queue *qp = &queue;
-    auto publish = [this, qp, idxs]() {
-        for (std::uint32_t i : idxs)
-            txSlot(*qp, i).state = SlotState::Free;
+    auto freed = [this, qp, entries]() {
+        for (const auto &e : entries)
+            txSlot(*qp, e.idx).state = SlotState::Free;
     };
-    co_await mem_.postMulti(queue.nicAgent, spans,
-                            std::move(publish));
+    co_await mem_.postMulti(queue.nicAgent, spans, std::move(freed));
     co_await devPortDelay();
     noteSlotWrite(spans.front().addr);
     co_return;
 }
 
 sim::Coro<void>
-PioNic::flushRxCredits(int q, bool timeout_flush)
+PioNic::flushRxCredits(int q, FlushReason reason)
 {
     Queue &queue = *queues_[q];
-    const auto entries = queue.rxCreditPending.take(
-        timeout_flush,
-        static_cast<std::uint32_t>(queue.rxInput.size()));
+    const auto entries =
+        takeBatch(q, queue.rxCreditPending, reason,
+                  static_cast<std::uint32_t>(queue.rxInput.size()));
     if (entries.empty())
         co_return;
-    noteBatchFlush(q, timeout_flush ? "timeout" : "full", entries.size());
 
     std::vector<mem::CoherentSystem::Span> spans;
-    std::vector<std::uint32_t> idxs;
-    idxs.reserve(entries.size());
-    for (const auto &e : entries) {
-        idxs.push_back(e.idx);
+    for (const auto &e : entries)
         spans.push_back({rxLineOf(queue, e.idx), slotBytes()});
-    }
     Queue *qp = &queue;
-    auto publish = [this, qp, idxs]() {
-        for (std::uint32_t i : idxs) {
-            MsgSlot &s = rxSlot(*qp, i);
+    auto freed = [this, qp, entries]() {
+        for (const auto &e : entries) {
+            MsgSlot &s = rxSlot(*qp, e.idx);
             s.msg = WirePacket{};
             s.state = SlotState::Free;
         }
     };
-    co_await mem_.postMulti(queue.hostAgent, spans,
-                            std::move(publish));
+    co_await mem_.postMulti(queue.hostAgent, spans, std::move(freed));
     noteSlotWrite(spans.front().addr);
     co_return;
-}
-
-sim::Task
-PioNic::rxCreditTimerTask(int q)
-{
-    Queue &queue = *queues_[q];
-    const Tick period =
-        std::max<Tick>(1, cfg_.batch.flushTimeout / 2);
-    for (;;) {
-        co_await sim_.delay(period);
-        if (devState_ != DevState::Running)
-            continue; // reset() drops the stale pending credits.
-        if (!queue.rxCreditPending.empty() &&
-            queue.rxCreditPending.timedOut(sim_.now()))
-            co_await flushRxCredits(q, /*timeout_flush=*/true);
-    }
 }
 
 sim::Coro<int>
@@ -781,14 +732,12 @@ PioNic::rxBurst(int q, PacketBuf **bufs, int count)
     // inline payload, so this is the whole cross-socket transfer).
     std::vector<mem::CoherentSystem::Span> spans;
     std::vector<mem::CoherentSystem::Span> copy_spans;
-    std::vector<std::uint32_t> taken_idx;
     int fresh_next = 0;
     for (std::size_t i = 0; i < got.size(); ++i) {
         MsgSlot &s = rxSlot(queue, got[i].idx);
         s.state = SlotState::Taken;
         s.spill = nullptr;
         spans.push_back({rxLineOf(queue, got[i].idx), slotBytes()});
-        taken_idx.push_back(got[i].idx);
 
         PacketBuf *b = got[i].spill;
         if (!b) {
@@ -800,15 +749,7 @@ PioNic::rxBurst(int q, PacketBuf **bufs, int count)
             copy_spans.push_back({b->addr, std::max<std::uint32_t>(
                                                got[i].msg.len, 1)});
         }
-        const WirePacket &m = got[i].msg;
-        b->len = m.len;
-        b->txTime = m.txTime;
-        b->flowId = m.flowId;
-        b->userData = m.userData;
-        b->src = m.src;
-        b->dst = m.dst;
-        b->tp = m.tp;
-        b->span = m.span;
+        driver::fillFromWire(*b, got[i].msg);
         bufs[i] = b;
     }
     queue.rxCons = idx;
@@ -823,24 +764,10 @@ PioNic::rxBurst(int q, PacketBuf **bufs, int count)
     // Credit return: posted stores flipping the slots Free. Under
     // coalescing the slots stay Taken (consumer-private) until enough
     // credits accumulate; the flush timer bounds the hold.
-    if (cfg_.batch.enabled()) {
-        for (std::uint32_t i : taken_idx)
-            queue.rxCreditPending.stage(i, nullptr, sim_.now());
-        if (queue.rxCreditPending.full())
-            co_await flushRxCredits(q, /*timeout_flush=*/false);
-    } else {
-        Queue *qp = &queue;
-        auto publish = [this, qp, taken_idx]() {
-            for (std::uint32_t i : taken_idx) {
-                MsgSlot &s = rxSlot(*qp, i);
-                s.msg = WirePacket{};
-                s.state = SlotState::Free;
-            }
-        };
-        co_await mem_.postMulti(queue.hostAgent, spans,
-                                std::move(publish));
-        noteSlotWrite(spans.front().addr);
-    }
+    for (const Got &g : got)
+        queue.rxCreditPending.stage(g.idx, nullptr, sim_.now());
+    if (!cfg_.batch.enabled() || queue.rxCreditPending.full())
+        co_await flushRxCredits(q, FlushReason::Full);
 
     const int n = static_cast<int>(got.size());
     queue.rxDeliveredTotal += static_cast<std::uint64_t>(n);

@@ -262,6 +262,14 @@ class PioNic : public driver::NicInterface
     sim::Coro<void> drainEngines() override;
     /** Slot arrays and beat lines, as "<spanPath>.*" regions. */
     void registerProfRegions() override;
+    driver::PublishBatch &timedBatch(int q) override
+    {
+        return queues_[q]->rxCreditPending;
+    }
+    sim::Coro<void> flushTimedBatch(int q) override
+    {
+        return flushRxCredits(q, FlushReason::Timeout);
+    }
     /// @}
 
     sim::Task devTxTask(int q);
@@ -270,11 +278,9 @@ class PioNic : public driver::NicInterface
     /// @name Credit-return coalescing (Fig 16).
     /// @{
     /** Flip every pending host-reaped RX slot back to Free at once. */
-    sim::Coro<void> flushRxCredits(int q, bool timeout_flush);
-    /** Bounds how long host-side RX credits may sit unflushed. */
-    sim::Task rxCreditTimerTask(int q);
+    sim::Coro<void> flushRxCredits(int q, FlushReason reason);
     /** Flip every pending device-consumed TX slot back to Free. */
-    sim::Coro<void> flushTxCredits(int q, bool idle_flush);
+    sim::Coro<void> flushTxCredits(int q, FlushReason reason);
     /// @}
 
     /** Bytes occupied by one message slot. */

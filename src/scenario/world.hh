@@ -6,7 +6,7 @@
  * This is the single place that knows how to turn a family key
  * ("ccnic", "pcie_e810", "pio", ...) into a running world. Benches,
  * examples, and the scenario runner all build through here, so adding
- * an interface family is one registry entry plus one factory case.
+ * an interface family is one registry entry plus one makeNic() case.
  *
  * Two world shapes:
  *
@@ -175,7 +175,7 @@ struct InterfaceFamily
 
 /**
  * The interface families every comparison bench/example/scenario
- * enumerates. Adding an entry here (plus a worldFactory() case) wires
+ * enumerates. Adding an entry here (plus a makeNic() case) wires
  * a new interface into bench_fig11_overview, bench_pio_smallmsg,
  * examples/interface_compare, and the scenario DSL at once.
  */
@@ -237,13 +237,53 @@ familyKeyList()
 }
 
 /**
+ * The one family switch: build (but do not start) the NIC for
+ * canonical family @p key on @p system, with the host on socket 0 and
+ * a coherent device on socket 1. @p loopback keeps TX folded back to
+ * local RX; the PCIe families ignore it and switch to the wire once a
+ * TX sink is installed. Throws std::invalid_argument on an unknown key
+ * so baseline/CI typos fail loudly.
+ */
+inline std::unique_ptr<driver::NicInterface>
+makeNic(const std::string &key, sim::Simulator &sim,
+        mem::CoherentSystem &system, const mem::PlatformConfig &plat,
+        int queues, bool loopback, const driver::BatchPolicy &batch,
+        sim::Rng &rng)
+{
+    if (key == "ccnic" || key == "upi_unopt") {
+        auto cfg = key == "ccnic"
+                       ? ccnic::optimizedConfig(queues, 0, plat)
+                       : ccnic::unoptimizedConfig(queues, 0, plat);
+        cfg.loopback = loopback;
+        cfg.batch = batch;
+        return std::make_unique<ccnic::CcNic>(sim, system, cfg, 0, 1,
+                                              rng);
+    }
+    if (key == "pcie_e810" || key == "pcie_cx6") {
+        nic::NicParams params = key == "pcie_e810" ? nic::e810Params()
+                                                   : nic::cx6Params();
+        params.batch = batch;
+        return std::make_unique<nic::PcieNic>(sim, system, params, queues,
+                                              0, rng);
+    }
+    if (key == "pio" || key == "pio_cxl") {
+        auto cfg = key == "pio" ? pio::upiConfig(queues, 0, plat)
+                                : pio::cxlConfig(queues, 0, plat);
+        cfg.loopback = loopback;
+        cfg.batch = batch;
+        return std::make_unique<pio::PioNic>(sim, system, cfg, 0, 1, rng);
+    }
+    throw std::invalid_argument("unknown interface family: " + key);
+}
+
+/**
  * World factory for an interface-family key: every measurement point
  * gets a fresh deterministic world with that interface attached.
- * Throws on an unknown key so baseline/CI typos fail loudly.
+ * Throws on an unknown key (here, not when a world is built) so
+ * baseline/CI typos fail loudly.
  *
  * @p loopback keeps TX folded back to local RX (the bench loopback
- * harness). Pass false for worlds that attach to a net::Fabric; the
- * PCIe families switch automatically when a TX sink is installed.
+ * harness). Pass false for worlds that attach to a net::Fabric.
  */
 inline std::function<std::unique_ptr<World>()>
 worldFactory(const std::string &key, const mem::PlatformConfig &plat,
@@ -251,53 +291,16 @@ worldFactory(const std::string &key, const mem::PlatformConfig &plat,
              const std::string &batch = {})
 {
     const driver::BatchPolicy bp = batchPolicyFromSpec(batch);
-    if (key == "ccnic") {
-        return [plat, queues, loopback, bp] {
-            auto cfg = ccnic::optimizedConfig(queues, 0, plat);
-            cfg.loopback = loopback;
-            cfg.batch = bp;
-            return makeCcNicWorld(plat, cfg);
-        };
-    }
-    if (key == "upi_unopt") {
-        return [plat, queues, loopback, bp] {
-            auto cfg = ccnic::unoptimizedConfig(queues, 0, plat);
-            cfg.loopback = loopback;
-            cfg.batch = bp;
-            return makeCcNicWorld(plat, cfg);
-        };
-    }
-    if (key == "pcie_e810") {
-        return [plat, queues, bp] {
-            auto params = nic::e810Params();
-            params.batch = bp;
-            return makePcieWorld(plat, params, queues);
-        };
-    }
-    if (key == "pcie_cx6") {
-        return [plat, queues, bp] {
-            auto params = nic::cx6Params();
-            params.batch = bp;
-            return makePcieWorld(plat, params, queues);
-        };
-    }
-    if (key == "pio") {
-        return [plat, queues, loopback, bp] {
-            auto cfg = pio::upiConfig(queues, 0, plat);
-            cfg.loopback = loopback;
-            cfg.batch = bp;
-            return makePioWorld(plat, cfg);
-        };
-    }
-    if (key == "pio_cxl") {
-        return [plat, queues, loopback, bp] {
-            auto cfg = pio::cxlConfig(queues, 0, plat);
-            cfg.loopback = loopback;
-            cfg.batch = bp;
-            return makePioWorld(plat, cfg);
-        };
-    }
-    throw std::invalid_argument("unknown interface family: " + key);
+    if (key.empty() || canonicalFamilyKey(key) != key)
+        throw std::invalid_argument("unknown interface family: " + key);
+    return [key, plat, queues, loopback, bp] {
+        auto w = std::make_unique<World>(plat);
+        w->nic = makeNic(key, w->simv, w->system, plat, queues, loopback,
+                         bp, w->rng);
+        w->ccnic = dynamic_cast<ccnic::CcNic *>(w->nic.get());
+        w->nic->start();
+        return w;
+    };
 }
 
 /**
@@ -329,32 +332,8 @@ makeHost(sim::Simulator &sim, const std::string &key,
 {
     const driver::BatchPolicy bp = batchPolicyFromSpec(batch);
     auto w = std::make_unique<HostWorld>(sim, plat, seed);
-    if (key == "ccnic" || key == "upi_unopt") {
-        auto cfg = key == "ccnic"
-                       ? ccnic::optimizedConfig(queues, 0, plat)
-                       : ccnic::unoptimizedConfig(queues, 0, plat);
-        cfg.loopback = false;
-        cfg.batch = bp;
-        w->nic = std::make_unique<ccnic::CcNic>(sim, w->system, cfg, 0,
-                                                1, w->rng);
-    } else if (key == "pcie_e810" || key == "pcie_cx6") {
-        nic::NicParams params = key == "pcie_e810"
-                                    ? nic::e810Params()
-                                    : nic::cx6Params();
-        params.batch = bp;
-        w->nic = std::make_unique<nic::PcieNic>(sim, w->system, params,
-                                                queues, 0, w->rng);
-    } else if (key == "pio" || key == "pio_cxl") {
-        auto cfg = key == "pio" ? pio::upiConfig(queues, 0, plat)
-                                : pio::cxlConfig(queues, 0, plat);
-        cfg.loopback = false;
-        cfg.batch = bp;
-        w->nic = std::make_unique<pio::PioNic>(sim, w->system, cfg, 0,
-                                               1, w->rng);
-    } else {
-        throw std::invalid_argument("unknown interface family: " +
-                                    key);
-    }
+    w->nic = makeNic(key, sim, w->system, plat, queues,
+                     /*loopback=*/false, bp, w->rng);
     w->nic->start();
     return w;
 }

@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "ccnic/ccnic.hh"
 #include "mem/platform.hh"
 #include "obs/span.hh"
+#include "obs/trace.hh"
 #include "workload/loopback.hh"
 
 namespace {
@@ -238,6 +242,49 @@ TEST(CcNicTelemetry, SignalCountersMoveWithTraffic)
     EXPECT_GT(w.nic.signalReads(), 0u);
     EXPECT_EQ(obs::Registry::global().value("ccnic.signal_writes"),
               w.nic.signalWrites());
+}
+
+// Every ring-signal publish names a descriptor-ring line or a
+// head/tail register line of the NIC. An RX batch whose last two
+// descriptors share a ring line must still name that line, not the
+// payload buffer written with the batch.
+TEST(CcNicTelemetry, SignalWriteTracepointsNameSignalLines)
+{
+    for (const driver::SignalMode mode :
+         {driver::SignalMode::Inline, driver::SignalMode::Register}) {
+        obs::Trace &trace = obs::Trace::global();
+        trace.enable();
+        trace.clear();
+        auto ncfg = ccnic::optimizedConfig(1, 0);
+        ncfg.signal = mode;
+        World w(mem::icxConfig(), ncfg);
+        workload::LoopbackConfig cfg;
+        cfg.threads = 1;
+        cfg.offeredPps = 20e6;
+        cfg.warmup = sim::fromUs(5.0);
+        cfg.window = sim::fromUs(20.0);
+        auto r = workload::runLoopback(w.simv, w.system, w.nic, cfg);
+        trace.disable();
+        ASSERT_GT(r.rxPackets, 0u);
+
+        const std::set<std::string> signal_lines = {
+            "ccnic.tx_ring[q0]", "ccnic.tx_tail[q0]", "ccnic.tx_head[q0]",
+            "ccnic.rx_ring[q0]", "ccnic.rx_tail[q0]", "ccnic.rx_head[q0]"};
+        std::uint64_t writes = 0;
+        for (const obs::TraceEvent &e : trace.events()) {
+            if (e.kind != obs::EventKind::RingSignalWrite ||
+                std::string(e.name) != "ccnic.signal")
+                continue;
+            writes++;
+            const std::string region =
+                w.system.profiler().lineRegion(mem::lineOf(e.arg));
+            EXPECT_EQ(signal_lines.count(region), 1u)
+                << "signal write at 0x" << std::hex << e.arg
+                << " lies in region '" << region << "'";
+        }
+        EXPECT_GT(writes, 0u);
+        trace.clear();
+    }
 }
 
 // Lifecycle spans on a loss-free loopback: sampling every packet, the

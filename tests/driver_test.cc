@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the driver layer: mempool size classes, recycling,
- * FIFO/stripe semantics, ring layout arithmetic, and register lines.
+ * FIFO/stripe semantics, ring layout arithmetic, register lines, and
+ * the buffer/wire packet conversions.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <set>
 
 #include "driver/mempool.hh"
+#include "driver/packet.hh"
 #include "driver/ring.hh"
 #include "mem/platform.hh"
 
@@ -371,6 +373,55 @@ TEST(DescRing, NonPowerOfTwoSizeIsRoundedUp)
     // Wrapping lands exactly one period later.
     EXPECT_EQ(&ring.slot(ring.entries()), &ring.slot(0));
     EXPECT_EQ(&ring.slot(ring.entries() + 5), &ring.slot(5));
+}
+
+// A packet restored from the wire carries every field the sender put
+// in the buffer: the TX copy (wireFrom) and the RX copy (fillFromWire)
+// are inverses over the logical contents and the span slot.
+TEST(WirePacket, WireFromThenFillFromWireRoundTrips)
+{
+    PacketBuf tx;
+    tx.len = 1200;
+    tx.txTime = 123456;
+    tx.flowId = 42;
+    tx.userData = 0xfeedu;
+    tx.src = 7;
+    tx.dst = 9;
+    tx.tp.srcConn = 3;
+    tx.tp.dstConn = 4;
+    tx.tp.seq = 100;
+    tx.tp.ack = 99;
+    tx.tp.sack = 0x5;
+    tx.tp.credits = 16;
+    tx.tp.flags = driver::kTpData | driver::kTpAck;
+    tx.span.active = true;
+    tx.span.id = 77;
+    tx.span.stamp(obs::SpanStage::HostEnqueue, 1000);
+    const obs::PacketSpan span = tx.span;
+
+    const driver::WirePacket pkt = driver::wireFrom(tx, tx.len);
+    EXPECT_FALSE(tx.span.active); // The span now rides the wire.
+
+    PacketBuf rx;
+    driver::fillFromWire(rx, pkt);
+    EXPECT_EQ(rx.len, 1200u);
+    EXPECT_EQ(rx.txTime, tx.txTime);
+    EXPECT_EQ(rx.flowId, tx.flowId);
+    EXPECT_EQ(rx.userData, tx.userData);
+    EXPECT_EQ(rx.src, tx.src);
+    EXPECT_EQ(rx.dst, tx.dst);
+    EXPECT_EQ(rx.tp.srcConn, tx.tp.srcConn);
+    EXPECT_EQ(rx.tp.dstConn, tx.tp.dstConn);
+    EXPECT_EQ(rx.tp.seq, tx.tp.seq);
+    EXPECT_EQ(rx.tp.ack, tx.tp.ack);
+    EXPECT_EQ(rx.tp.sack, tx.tp.sack);
+    EXPECT_EQ(rx.tp.credits, tx.tp.credits);
+    EXPECT_EQ(rx.tp.flags, tx.tp.flags);
+    EXPECT_EQ(rx.span.active, span.active);
+    EXPECT_EQ(rx.span.id, span.id);
+    EXPECT_EQ(rx.span.stamped, span.stamped);
+    for (std::size_t i = 0; i < obs::kSpanStages; ++i)
+        EXPECT_EQ(rx.span.t[i], span.t[i]) << "stage " << i;
 }
 
 } // namespace
