@@ -307,9 +307,9 @@ CcNic::reclaimSlots(int q)
     }
     // Staged-but-unflushed publications never reached a slot, so
     // the ring sweep cannot see their buffers: reclaim them here.
-    for (const auto &e : queue.txPending.take(true))
+    for (const auto &e : queue.txPending.discard())
         keep(e.buf);
-    (void)queue.rxDevPending.take(true);
+    (void)queue.rxDevPending.discard();
     for (PacketBuf *&b : queue.txShadow) {
         keep(b);
         b = nullptr;

@@ -171,6 +171,19 @@ class PublishBatch
         return std::exchange(entries_, {});
     }
 
+    /**
+     * Drop the staged batch at a device reset: returns the staged
+     * entries (their buffers are the caller's to reclaim) and restores
+     * the policy's starting target, as a fresh attach would. A reset
+     * is not traffic, so adaptive sizing learns nothing from it.
+     */
+    std::vector<Entry>
+    discard()
+    {
+        target_ = std::max(1u, policy_.size);
+        return std::exchange(entries_, {});
+    }
+
   private:
     BatchPolicy policy_;
     std::uint32_t target_ = 1;

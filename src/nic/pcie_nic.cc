@@ -250,7 +250,7 @@ PcieNic::rewindQueue(int q)
     queue.rxInput.clear();
     // Coalesced doorbells reference ring indices that no longer
     // exist; drop them (buffers were reclaimed via txShadow).
-    (void)queue.dbPending.take(/*timeout_flush=*/true);
+    (void)queue.dbPending.discard();
     queue.dbFlushedTail = 0;
     queue.txProd = queue.txFreeScan = 0;
     queue.rxCons = queue.rxPostProd = 0;

@@ -4,7 +4,6 @@
 
 namespace ccn::pio {
 
-using driver::BufClass;
 using driver::PacketBuf;
 using mem::Addr;
 using sim::Tick;
@@ -37,9 +36,10 @@ upiConfig(int num_queues, int host_socket,
 }
 
 Config
-cxlConfig(int num_queues, int host_socket)
+cxlConfig(int num_queues, int host_socket,
+          const mem::PlatformConfig &plat)
 {
-    Config cfg = upiConfig(num_queues, host_socket);
+    Config cfg = upiConfig(num_queues, host_socket, plat);
     // A CXL.cache (Type 1) device caches host memory but exports
     // none, so both slot arrays are host-homed; every device-side
     // access additionally crosses the CXL port, which today costs
@@ -50,35 +50,27 @@ cxlConfig(int num_queues, int host_socket)
     return cfg;
 }
 
-Config
-cxlConfig(int num_queues, int host_socket,
-          const mem::PlatformConfig &plat)
-{
-    Config cfg = cxlConfig(num_queues, host_socket);
-    cfg.hostCosts = ccnic::platformCosts(plat);
-    cfg.nicCosts = ccnic::platformCosts(plat);
-    return cfg;
-}
+PioNic::SlotArray::SlotArray(mem::CoherentSystem &m, int home_socket,
+                             const Config &cfg)
+    : base(m.alloc(home_socket,
+                   static_cast<std::uint64_t>(cfg.numSlots) * kSlotBytes,
+                   mem::kLineBytes)),
+      mask(cfg.numSlots - 1),
+      slots(cfg.numSlots),
+      credits(cfg.batch)
+{}
 
 PioNic::Queue::Queue(sim::Simulator &sim, mem::CoherentSystem &m,
                      const Config &cfg, int host_socket, int nic_socket,
                      WirePort &port)
     : hostAgent(m.addAgent(host_socket)),
       nicAgent(m.addAgent(nic_socket)),
-      txSlots(cfg.numSlots),
-      rxSlots(cfg.numSlots),
+      tx(m, host_socket, cfg),
+      rx(m, cfg.deviceHomedRx ? nic_socket : host_socket, cfg),
       rxInput(port.rxInput),
       coreLock(sim, 1),
       wireDrained(port.drained)
-{
-    const std::uint64_t bytes = static_cast<std::uint64_t>(cfg.numSlots) *
-                                cfg.slotLines * mem::kLineBytes;
-    // TX slots are host-homed (writer-homed); RX homing is the UPI/CXL
-    // distinction.
-    txBase = m.alloc(host_socket, bytes, mem::kLineBytes);
-    rxBase = m.alloc(cfg.deviceHomedRx ? nic_socket : host_socket, bytes,
-                     mem::kLineBytes);
-}
+{}
 
 PioNic::PioNic(sim::Simulator &sim, mem::CoherentSystem &mem_system,
                const Config &config, int host_socket, int nic_socket,
@@ -95,15 +87,10 @@ PioNic::PioNic(sim::Simulator &sim, mem::CoherentSystem &mem_system,
       cfg_(config)
 {
     cfg_.pool.homeSocket = host_socket;
-    // Slot index arithmetic masks with numSlots-1.
-    cfg_.numSlots = driver::DescRing::roundUpPow2(cfg_.numSlots);
-    cfg_.slotLines = std::max<std::uint32_t>(1, cfg_.slotLines);
-    cfg_.headerBytes = std::min<std::uint32_t>(
-        cfg_.headerBytes, cfg_.slotLines * mem::kLineBytes / 2);
-    cfg_.nicBatch = std::max(
-        1, std::min<int>(cfg_.nicBatch,
-                         static_cast<int>(cfg_.numSlots)));
-    slotMask_ = cfg_.numSlots - 1;
+    // Slot index arithmetic masks with numSlots-1, and one device
+    // burst must fit the array (placement must not wrap onto itself).
+    cfg_.numSlots = driver::DescRing::roundUpPow2(
+        std::max(cfg_.numSlots, kNicBatch));
     // Clamp the credit-coalescing target to a quarter of the slot
     // array: held credits shrink the flow-control window, and a target
     // at or above numSlots would wedge the producer permanently.
@@ -114,8 +101,6 @@ PioNic::PioNic(sim::Simulator &sim, mem::CoherentSystem &mem_system,
             sim_, mem_, cfg_, host_socket, nic_socket, port(q)));
         queues_.back()->polls =
             &slotPollsQ_.at(static_cast<std::uint64_t>(q));
-        queues_.back()->rxCreditPending.setPolicy(cfg_.batch);
-        queues_.back()->txCreditPending.setPolicy(cfg_.batch);
     }
     hostBeat_ =
         std::make_unique<driver::RegisterLine>(mem_, host_socket);
@@ -131,16 +116,15 @@ PioNic::registerProfRegions()
     // publishes and the consumer flips the credit back in place.
     const auto intent = obs::RegionIntent::TwoWay;
     const std::uint64_t bytes =
-        static_cast<std::uint64_t>(cfg_.numSlots) * slotBytes();
+        static_cast<std::uint64_t>(cfg_.numSlots) * kSlotBytes;
     for (std::size_t q = 0; q < queues_.size(); ++q) {
-        const auto qi = std::to_string(q);
-        auto &qu = *queues_[q];
-        profRegions_.push_back(prof.registerRegion(
-            cfg_.spanPath + ".tx_slots[q" + qi + "]", qu.txBase, bytes,
-            intent));
-        profRegions_.push_back(prof.registerRegion(
-            cfg_.spanPath + ".rx_slots[q" + qi + "]", qu.rxBase, bytes,
-            intent));
+        const auto qi = "[q" + std::to_string(q) + "]";
+        const Queue &qu = *queues_[q];
+        for (const auto &[name, a] : {std::pair{".tx_slots", &qu.tx},
+                                      std::pair{".rx_slots", &qu.rx}}) {
+            profRegions_.push_back(prof.registerRegion(
+                cfg_.spanPath + name + qi, a->base, bytes, intent));
+        }
     }
     profRegions_.push_back(
         prof.registerRegion(cfg_.spanPath + ".host_beat",
@@ -163,19 +147,13 @@ PioNic::hostAgent(int q) const
     return queues_[q]->hostAgent;
 }
 
-mem::AgentId
-PioNic::nicAgent(int q) const
-{
-    return queues_[q]->nicAgent;
-}
-
 std::vector<mem::Addr>
 PioNic::faultLines() const
 {
     // Queue-0's live slot lines: the device's TX consumer slot and
     // the host's RX consumer slot.
     const Queue &q = *queues_[0];
-    return {txLineOf(q, q.txCons), rxLineOf(q, q.rxCons)};
+    return {q.tx.lineOf(q.tx.cons), q.rx.lineOf(q.rx.cons)};
 }
 
 driver::QueueHealth
@@ -186,7 +164,7 @@ PioNic::health(int q) const
     h.txSubmitted = queue.txSubmittedTotal;
     h.txCompleted = queue.txCompletedTotal;
     h.rxDelivered = queue.rxDeliveredTotal;
-    h.txOutstanding = queue.txProd - queue.txCons;
+    h.txOutstanding = queue.tx.prod - queue.tx.cons;
     return h;
 }
 
@@ -208,18 +186,13 @@ PioNic::reclaimSlots(int q)
     // no buffer; a Taken RX slot's spill already changed hands at
     // reap, so only slots still pointing at one are device-owned.
     std::vector<PacketBuf *> held;
-    auto sweep = [&held](std::vector<MsgSlot> &slots) {
-        for (MsgSlot &s : slots) {
+    for (SlotArray *a : {&queue.tx, &queue.rx}) {
+        for (MsgSlot &s : a->slots) {
             if (s.spill)
                 held.push_back(s.spill);
-            s.spill = nullptr;
-            s.msg = WirePacket{};
-            s.seq = 0;
-            s.state = SlotState::Free;
+            s = MsgSlot{};
         }
-    };
-    sweep(queue.txSlots);
-    sweep(queue.rxSlots);
+    }
     // Drop wire-side packets queued into the dead device.
     queue.rxInput.clear();
     return held;
@@ -231,13 +204,10 @@ PioNic::rewindQueue(int q)
     Queue &queue = *queues_[q];
     // Pending credit flushes reference slots the sweep freed; drop
     // them (the entries carry no buffers).
-    (void)queue.rxCreditPending.take(/*timeout_flush=*/true);
-    (void)queue.txCreditPending.take(/*timeout_flush=*/true);
-
-    queue.txProd = queue.txCons = 0;
-    queue.rxProd = queue.rxCons = 0;
-    queue.txSeq = queue.txSeqSeen = 0;
-    queue.rxSeq = queue.rxSeqSeen = 0;
+    for (SlotArray *a : {&queue.tx, &queue.rx}) {
+        (void)a->credits.discard();
+        a->prod = a->cons = a->seq = a->seqSeen = 0;
+    }
 }
 
 sim::Coro<int>
@@ -248,24 +218,17 @@ PioNic::txBurst(int q, PacketBuf **bufs, int count)
     OpScope guard(hostOps_);
     Queue &queue = *queues_[q];
     const auto &costs = cfg_.hostCosts;
-    const std::uint32_t inline_cap = cfg_.inlineBytes();
     co_await sim_.delay(cycles(costs.perLoop));
 
     // Claim free slots. The credit check is a local spin on the slot's
     // state word: the device's credit write invalidated our copy, so a
     // slot that looks Free is Free.
-    struct Pending
-    {
-        std::uint32_t idx;
-        WirePacket msg;
-        PacketBuf *spill; ///< Null for inline messages.
-        PacketBuf *buf;   ///< Source buffer (freed here if inline).
-    };
-    std::vector<Pending> pending;
+    std::vector<Msg> pending;
     std::vector<mem::CoherentSystem::Span> spans;
-    std::uint32_t idx = queue.txProd;
-    for (int i = 0; i < count; ++i) {
-        if (txSlot(queue, idx).state != SlotState::Free) {
+    std::vector<PacketBuf *> frees;
+    std::uint32_t idx = queue.tx.prod;
+    for (int i = 0; i < count; ++i, ++idx) {
+        if (queue.tx.slot(idx).state != SlotState::Free) {
             creditStalls_++;
             break; // Slot array full: credits not yet returned.
         }
@@ -276,72 +239,52 @@ PioNic::txBurst(int q, PacketBuf **bufs, int count)
         // The span rides in the slot from here; inline TX buffers are
         // recycled immediately and must not keep an active slot.
         WirePacket msg = driver::wireFrom(*b, b->wireLen());
-        const bool spilled = msg.len > inline_cap;
-        if (spilled)
+        // Inline messages: the payload now lives in the slot lines, so
+        // the source buffer goes straight back to the (host-local)
+        // recycle stack — there is no TX completion to reap. Spilled
+        // buffers pass to the device, which frees them after reading
+        // the payload.
+        const bool spilled = msg.len > kInlineBytes;
+        if (spilled) {
             spills_++;
-        else
+        } else {
             msg.segments = 1; // The slot carries both segments inline.
-        pending.push_back({idx, msg, spilled ? b : nullptr, b});
-        spans.push_back({txLineOf(queue, idx), slotBytes()});
-        idx++;
+            frees.push_back(b);
+        }
+        pending.push_back({idx, msg, spilled ? b : nullptr});
+        spans.push_back({queue.tx.lineOf(idx), kSlotBytes});
     }
     if (pending.empty())
         co_return 0;
+    const int n = static_cast<int>(pending.size());
 
-    co_await sim_.delay(
-        cycles(costs.perPktTx * static_cast<double>(pending.size())));
+    co_await sim_.delay(cycles(costs.perPktTx * static_cast<double>(n)));
 
     // PIO TX has no host-side staging — the slot stores *are* the
     // signal — so BatchFlush coincides with publish initiation.
-    {
-        const Tick flush_now = sim_.now();
-        for (Pending &p : pending)
-            p.msg.span.stamp(obs::SpanStage::BatchFlush, flush_now);
-    }
+    for (Msg &m : pending)
+        m.msg.span.stamp(obs::SpanStage::BatchFlush, sim_.now());
 
     // Posted stores of the slot lines: header + inline payload + the
     // Ready flip travel as one write burst; message state is published
     // at store visibility (TSO orders the flip last).
-    queue.txProd = idx;
-    queue.txSubmittedTotal += pending.size();
-    {
-        Queue *qp = &queue;
-        auto publish = [this, qp, pending, simp = &sim_]() {
-            for (const Pending &p : pending) {
-                MsgSlot &s = txSlot(*qp, p.idx);
-                s.msg = p.msg;
-                s.msg.span.stamp(obs::SpanStage::DescPublish,
-                                 simp->now());
-                s.spill = p.spill;
-                s.seq = ++qp->txSeq;
-                s.state = SlotState::Ready;
-            }
-        };
-        co_await mem_.postMulti(queue.hostAgent, spans,
-                                std::move(publish));
-        noteSlotWrite(spans.front().addr);
-    }
+    queue.txSubmittedTotal += static_cast<std::uint64_t>(n);
+    co_await publish(queue.tx, queue.hostAgent, spans, std::move(pending),
+                     obs::SpanStage::DescPublish);
+    noteSlotWrite(spans.front().addr);
 
-    // Inline messages: the payload now lives in the slot lines, so the
-    // source buffer goes straight back to the (host-local) recycle
-    // stack — there is no TX completion to reap. Spilled buffers pass
-    // to the device, which frees them after reading the payload.
-    std::vector<PacketBuf *> frees;
-    for (const Pending &p : pending) {
-        if (!p.spill)
-            frees.push_back(p.buf);
-    }
     if (!frees.empty()) {
         co_await pool_->freeBurst(queue.hostAgent, frees.data(),
                                   static_cast<int>(frees.size()), q);
     }
-    co_return static_cast<int>(pending.size());
+    co_return n;
 }
 
 sim::Task
 PioNic::devTxTask(int q)
 {
     Queue &queue = *queues_[q];
+    SlotArray &tx = queue.tx;
     const auto &costs = cfg_.nicCosts;
 
     for (;;) {
@@ -350,19 +293,14 @@ PioNic::devTxTask(int q)
 
         // Poll the head TX slot: a free local spin until the host's
         // store invalidates our copy, then one (remote) reload.
-        const Addr line = txLineOf(queue, queue.txCons);
+        const Addr line = tx.lineOf(tx.cons);
         noteSlotPoll(queue, line);
-        co_await mem_.load(queue.nicAgent, line, slotBytes());
+        co_await mem_.load(queue.nicAgent, line, kSlotBytes);
         co_await devPortDelay();
         // Integrity gate: a poisoned or stale (torn/stuck) slot line
         // must not be trusted; park until it heals or the beat expires.
-        if (!co_await consumeGuard(line, slotBytes())) {
-            co_await mem_.waitLineChangeUntil(
-                line, mem_.lineVersion(line),
-                sim_.now() + cfg_.beatPeriod);
-            continue;
-        }
-        if (txSlot(queue, queue.txCons).state != SlotState::Ready) {
+        if (!co_await consumeGuard(line, kSlotBytes) ||
+            tx.slot(tx.cons).state != SlotState::Ready) {
             co_await mem_.waitLineChangeUntil(
                 line, mem_.lineVersion(line),
                 sim_.now() + cfg_.beatPeriod);
@@ -371,11 +309,8 @@ PioNic::devTxTask(int q)
 
         // Internal flow control: do not pull TX work while the RX side
         // is backlogged.
-        while (cfg_.loopback &&
-               queue.rxInput.size() >=
-                   static_cast<std::size_t>(cfg_.nicBatch) * 2) {
+        while (cfg_.loopback && queue.rxInput.size() >= kNicBatch * 2)
             co_await queue.wireDrained.wait();
-        }
         if (wedged_ || devState_ != DevState::Running)
             continue;
 
@@ -385,48 +320,29 @@ PioNic::devTxTask(int q)
             continue;
         }
 
-        // Take a batch of Ready slots.
-        struct Taken
-        {
-            std::uint32_t idx;
-            WirePacket msg;
-            PacketBuf *spill;
-        };
-        std::vector<Taken> batch;
+        // Gather a batch of Ready slots; they are taken once the reads
+        // are done (the host sees them as not Free either way, and the
+        // core lock keeps a reset from sweeping them meanwhile).
         std::vector<mem::CoherentSystem::Span> spans;
-        std::uint32_t idx = queue.txCons;
-        while (static_cast<int>(batch.size()) < cfg_.nicBatch) {
-            MsgSlot &s = txSlot(queue, idx);
-            if (s.state != SlotState::Ready)
-                break;
-            if (s.seq != queue.txSeqSeen + 1) {
-                integrity_.noteReject();
-                break; // Torn publish: re-poll after the store lands.
-            }
-            queue.txSeqSeen = s.seq;
-            s.msg.span.stamp(obs::SpanStage::NicObserve, sim_.now());
-            batch.push_back({idx, s.msg, s.spill});
-            s.state = SlotState::Taken;
-            s.spill = nullptr;
-            spans.push_back({txLineOf(queue, idx), slotBytes()});
-            idx++;
-        }
+        std::vector<Msg> batch = gather(tx, kNicBatch, spans);
         if (batch.empty()) {
             queue.coreLock.release();
             continue;
         }
+        for (Msg &m : batch)
+            m.msg.span.stamp(obs::SpanStage::NicObserve, sim_.now());
 
         // Slot-line reads carry header and inline payload together;
         // spilled payloads are fetched from their pool buffers.
         co_await mem_.accessMulti(queue.nicAgent, spans, false);
         co_await devPortDelay();
         std::vector<mem::CoherentSystem::Span> payload_spans;
-        for (const Taken &t : batch) {
-            if (t.spill) {
-                payload_spans.push_back({t.spill->addr, t.spill->len});
-                if (t.spill->nextSeg) {
+        for (const Msg &m : batch) {
+            if (m.spill) {
+                payload_spans.push_back({m.spill->addr, m.spill->len});
+                if (m.spill->nextSeg) {
                     payload_spans.push_back(
-                        {t.spill->nextSeg->addr, t.spill->segLen});
+                        {m.spill->nextSeg->addr, m.spill->segLen});
                 }
             }
         }
@@ -444,24 +360,27 @@ PioNic::devTxTask(int q)
         // enough accumulate or the head runs dry (an idle device
         // flushes immediately so a stalled producer never waits on a
         // timer); with batching off they return now.
-        queue.txCons = idx;
+        take(tx, static_cast<std::uint32_t>(batch.size()));
         queue.txCompletedTotal += batch.size();
-        for (const Taken &t : batch)
-            queue.txCreditPending.stage(t.idx, nullptr, sim_.now());
-        if (!cfg_.batch.enabled() || queue.txCreditPending.full())
-            co_await flushTxCredits(q, FlushReason::Full);
-        else if (txSlot(queue, idx).state != SlotState::Ready)
-            co_await flushTxCredits(q, FlushReason::Idle);
+        for (const Msg &m : batch)
+            tx.credits.stage(m.idx, nullptr, sim_.now());
+        if (!cfg_.batch.enabled() || tx.credits.full()) {
+            co_await flushCredits(q, tx, FlushReason::Full,
+                                  tx.prod - tx.cons);
+        } else if (tx.slot(tx.cons).state != SlotState::Ready) {
+            co_await flushCredits(q, tx, FlushReason::Idle,
+                                  tx.prod - tx.cons);
+        }
 
         // Hand to the wire before buffer release.
-        for (const Taken &t : batch)
-            deliverTx(q, t.msg);
+        for (const Msg &m : batch)
+            deliverTx(q, m.msg);
 
         std::vector<PacketBuf *> frees;
-        for (const Taken &t : batch) {
-            if (t.spill) {
-                t.spill->nextSeg = nullptr;
-                frees.push_back(t.spill);
+        for (const Msg &m : batch) {
+            if (m.spill) {
+                m.spill->nextSeg = nullptr;
+                frees.push_back(m.spill);
             }
         }
         if (!frees.empty()) {
@@ -478,8 +397,8 @@ sim::Task
 PioNic::devRxTask(int q)
 {
     Queue &queue = *queues_[q];
+    SlotArray &rx = queue.rx;
     const auto &costs = cfg_.nicCosts;
-    const std::uint32_t inline_cap = cfg_.inlineBytes();
 
     for (;;) {
         while (wedged_ || devState_ != DevState::Running)
@@ -498,35 +417,27 @@ PioNic::devRxTask(int q)
         }
 
         std::vector<WirePacket> batch{first};
-        while (static_cast<int>(batch.size()) < cfg_.nicBatch &&
-               !queue.rxInput.empty()) {
+        while (batch.size() < kNicBatch && !queue.rxInput.empty())
             batch.push_back(co_await queue.rxInput.get());
-        }
 
         // Place each message into the next Free RX slot. Waits are
         // bounded so a quiesce (host no longer returning credits)
         // cannot park this engine inside the core lock.
-        struct Placed
-        {
-            std::uint32_t idx;
-            WirePacket msg;
-            PacketBuf *spill;
-        };
-        std::vector<Placed> placed;
+        std::vector<Msg> placed;
         std::vector<mem::CoherentSystem::Span> spans;
         bool abandoned = false;
-        std::uint32_t idx = queue.rxProd;
+        std::uint32_t idx = rx.prod;
         for (std::size_t i = 0; i < batch.size(); ++i) {
-            while (rxSlot(queue, idx).state != SlotState::Free) {
+            while (rx.slot(idx).state != SlotState::Free) {
                 if (devState_ != DevState::Running) {
                     abandoned = true;
                     break;
                 }
-                const Addr line = rxLineOf(queue, idx);
+                const Addr line = rx.lineOf(idx);
                 noteSlotPoll(queue, line);
-                co_await mem_.load(queue.nicAgent, line, slotBytes());
+                co_await mem_.load(queue.nicAgent, line, kSlotBytes);
                 co_await devPortDelay();
-                if (rxSlot(queue, idx).state == SlotState::Free)
+                if (rx.slot(idx).state == SlotState::Free)
                     break;
                 co_await mem_.waitLineChangeUntil(
                     line, mem_.lineVersion(line),
@@ -535,7 +446,7 @@ PioNic::devRxTask(int q)
             if (abandoned)
                 break;
             PacketBuf *spill = nullptr;
-            if (batch[i].len > inline_cap) {
+            if (batch[i].len > kInlineBytes) {
                 // Oversized frame: the payload spills to a pool buffer
                 // allocated device-side (recycle stacks make it the
                 // most recently freed one, still device-cached).
@@ -547,116 +458,39 @@ PioNic::devRxTask(int q)
                 }
                 spill->len = batch[i].len;
             }
-            spans.push_back({rxLineOf(queue, idx), slotBytes()});
+            spans.push_back({rx.lineOf(idx), kSlotBytes});
             if (spill)
                 spans.push_back({spill->addr, batch[i].len});
-            placed.push_back({idx, batch[i], spill});
-            idx++;
+            placed.push_back({idx++, batch[i], spill});
         }
         if (abandoned) {
             std::vector<PacketBuf *> give;
-            for (const Placed &p : placed) {
-                if (p.spill)
-                    give.push_back(p.spill);
+            for (const Msg &m : placed) {
+                if (m.spill)
+                    give.push_back(m.spill);
             }
             if (!give.empty()) {
                 co_await pool_->freeBurst(queue.nicAgent, give.data(),
                                           static_cast<int>(give.size()),
                                           q);
             }
-            queue.coreLock.release();
-            continue;
-        }
-        if (placed.empty()) {
-            queue.coreLock.release();
-            if (queue.rxInput.size() <
-                static_cast<std::size_t>(cfg_.nicBatch) * 2) {
-                queue.wireDrained.notifyAll();
-            }
-            continue;
-        }
+        } else if (!placed.empty()) {
+            co_await sim_.delay(cycles(
+                costs.perPktTx * static_cast<double>(placed.size())));
 
-        co_await sim_.delay(
-            cycles(costs.perPktTx * static_cast<double>(placed.size())));
-
-        // Publish messages (and spilled payloads) with posted stores;
-        // the Ready flip becomes visible at store completion, which is
-        // what wakes the host's idleWait.
-        queue.rxProd = idx;
-        {
-            Queue *qp = &queue;
-            auto publish = [this, qp, placed, simp = &sim_]() {
-                for (const Placed &p : placed) {
-                    MsgSlot &s = rxSlot(*qp, p.idx);
-                    s.msg = p.msg;
-                    s.msg.span.stamp(obs::SpanStage::RxPublish,
-                                     simp->now());
-                    s.spill = p.spill;
-                    s.seq = ++qp->rxSeq;
-                    s.state = SlotState::Ready;
-                }
-            };
-            co_await mem_.postMulti(queue.nicAgent, spans,
-                                    std::move(publish));
+            // Publish messages (and spilled payloads) with posted
+            // stores; the Ready flip becomes visible at store
+            // completion, which is what wakes the host's idleWait.
+            co_await publish(rx, queue.nicAgent, spans, std::move(placed),
+                             obs::SpanStage::RxPublish);
             co_await devPortDelay();
             noteSlotWrite(spans.front().addr);
         }
 
         queue.coreLock.release();
-        if (queue.rxInput.size() <
-            static_cast<std::size_t>(cfg_.nicBatch) * 2) {
+        if (!abandoned && queue.rxInput.size() < kNicBatch * 2)
             queue.wireDrained.notifyAll();
-        }
     }
-}
-
-sim::Coro<void>
-PioNic::flushTxCredits(int q, FlushReason reason)
-{
-    Queue &queue = *queues_[q];
-    const auto entries = takeBatch(q, queue.txCreditPending, reason,
-                                   queue.txProd - queue.txCons);
-    if (entries.empty())
-        co_return;
-
-    std::vector<mem::CoherentSystem::Span> spans;
-    for (const auto &e : entries)
-        spans.push_back({txLineOf(queue, e.idx), slotBytes()});
-    Queue *qp = &queue;
-    auto freed = [this, qp, entries]() {
-        for (const auto &e : entries)
-            txSlot(*qp, e.idx).state = SlotState::Free;
-    };
-    co_await mem_.postMulti(queue.nicAgent, spans, std::move(freed));
-    co_await devPortDelay();
-    noteSlotWrite(spans.front().addr);
-    co_return;
-}
-
-sim::Coro<void>
-PioNic::flushRxCredits(int q, FlushReason reason)
-{
-    Queue &queue = *queues_[q];
-    const auto entries =
-        takeBatch(q, queue.rxCreditPending, reason,
-                  static_cast<std::uint32_t>(queue.rxInput.size()));
-    if (entries.empty())
-        co_return;
-
-    std::vector<mem::CoherentSystem::Span> spans;
-    for (const auto &e : entries)
-        spans.push_back({rxLineOf(queue, e.idx), slotBytes()});
-    Queue *qp = &queue;
-    auto freed = [this, qp, entries]() {
-        for (const auto &e : entries) {
-            MsgSlot &s = rxSlot(*qp, e.idx);
-            s.msg = WirePacket{};
-            s.state = SlotState::Free;
-        }
-    };
-    co_await mem_.postMulti(queue.hostAgent, spans, std::move(freed));
-    noteSlotWrite(spans.front().addr);
-    co_return;
 }
 
 sim::Coro<int>
@@ -666,54 +500,31 @@ PioNic::rxBurst(int q, PacketBuf **bufs, int count)
         co_return 0;
     OpScope guard(hostOps_);
     Queue &queue = *queues_[q];
+    SlotArray &rx = queue.rx;
     const auto &costs = cfg_.hostCosts;
     co_await sim_.delay(cycles(costs.perLoop));
 
     // Integrity gate on the consumer slot line: a poisoned or stale
     // view must not be trusted; retry on the next poll.
-    if (!co_await consumeGuard(rxLineOf(queue, queue.rxCons),
-                                slotBytes()))
+    if (!co_await consumeGuard(rx.lineOf(rx.cons), kSlotBytes))
         co_return 0;
 
     // Gather Ready slots (local spin: no charge while nothing new).
-    struct Got
-    {
-        std::uint32_t idx;
-        WirePacket msg;
-        PacketBuf *spill;
-    };
-    std::vector<Got> got;
-    std::uint32_t idx = queue.rxCons;
-    while (static_cast<int>(got.size()) < count) {
-        MsgSlot &s = rxSlot(queue, idx);
-        if (s.state != SlotState::Ready)
-            break;
-        if (s.seq != queue.rxSeqSeen +
-                         static_cast<std::uint32_t>(got.size()) + 1) {
-            integrity_.noteReject();
-            break; // Torn publish: re-poll after the store lands.
-        }
-        got.push_back({idx, s.msg, s.spill});
-        idx++;
-    }
+    std::vector<mem::CoherentSystem::Span> spans;
+    std::vector<Msg> got = gather(rx, count, spans);
     if (got.empty())
         co_return 0;
 
     // Inline messages need a host-local buffer to land in; spilled
     // ones already carry the device-filled pool buffer. If the pool
     // comes up short, leave the uncovered tail Ready for next time.
-    int inline_need = 0;
-    for (const Got &g : got) {
-        if (!g.spill)
-            inline_need++;
-    }
+    const int inline_need = static_cast<int>(std::count_if(
+        got.begin(), got.end(), [](const Msg &m) { return !m.spill; }));
     std::vector<PacketBuf *> fresh(
         static_cast<std::size_t>(std::max(inline_need, 1)), nullptr);
-    int fresh_got = 0;
     if (inline_need > 0) {
-        fresh_got = co_await pool_->allocBurst(
-            queue.hostAgent, cfg_.inlineBytes(), fresh.data(),
-            inline_need, q);
+        const int fresh_got = co_await pool_->allocBurst(
+            queue.hostAgent, kInlineBytes, fresh.data(), inline_need, q);
         if (fresh_got < inline_need) {
             std::size_t keep = 0;
             int inline_seen = 0;
@@ -721,24 +532,19 @@ PioNic::rxBurst(int q, PacketBuf **bufs, int count)
                 if (!got[keep].spill && ++inline_seen > fresh_got)
                     break;
             }
-            got.resize(keep);
-            if (got.empty())
+            if (keep == 0)
                 co_return 0;
-            idx = got.back().idx + 1;
+            got.resize(keep);
+            spans.resize(keep);
         }
     }
 
     // Take the slots and charge the reap reads (slot lines carry the
     // inline payload, so this is the whole cross-socket transfer).
-    std::vector<mem::CoherentSystem::Span> spans;
+    take(rx, static_cast<std::uint32_t>(got.size()));
     std::vector<mem::CoherentSystem::Span> copy_spans;
     int fresh_next = 0;
     for (std::size_t i = 0; i < got.size(); ++i) {
-        MsgSlot &s = rxSlot(queue, got[i].idx);
-        s.state = SlotState::Taken;
-        s.spill = nullptr;
-        spans.push_back({rxLineOf(queue, got[i].idx), slotBytes()});
-
         PacketBuf *b = got[i].spill;
         if (!b) {
             b = fresh[static_cast<std::size_t>(fresh_next++)];
@@ -752,8 +558,6 @@ PioNic::rxBurst(int q, PacketBuf **bufs, int count)
         driver::fillFromWire(*b, got[i].msg);
         bufs[i] = b;
     }
-    queue.rxCons = idx;
-    queue.rxSeqSeen += static_cast<std::uint32_t>(got.size());
 
     co_await mem_.accessMulti(queue.hostAgent, spans, false);
     if (!copy_spans.empty())
@@ -764,10 +568,13 @@ PioNic::rxBurst(int q, PacketBuf **bufs, int count)
     // Credit return: posted stores flipping the slots Free. Under
     // coalescing the slots stay Taken (consumer-private) until enough
     // credits accumulate; the flush timer bounds the hold.
-    for (const Got &g : got)
-        queue.rxCreditPending.stage(g.idx, nullptr, sim_.now());
-    if (!cfg_.batch.enabled() || queue.rxCreditPending.full())
-        co_await flushRxCredits(q, FlushReason::Full);
+    for (const Msg &m : got)
+        rx.credits.stage(m.idx, nullptr, sim_.now());
+    if (!cfg_.batch.enabled() || rx.credits.full()) {
+        co_await flushCredits(
+            q, rx, FlushReason::Full,
+            static_cast<std::uint32_t>(queue.rxInput.size()));
+    }
 
     const int n = static_cast<int>(got.size());
     queue.rxDeliveredTotal += static_cast<std::uint64_t>(n);
@@ -782,13 +589,95 @@ PioNic::rxBurst(int q, PacketBuf **bufs, int count)
 }
 
 sim::Coro<void>
+PioNic::publish(SlotArray &a, mem::AgentId agent,
+                const std::vector<mem::CoherentSystem::Span> &spans,
+                std::vector<Msg> msgs, obs::SpanStage stage)
+{
+    a.prod += static_cast<std::uint32_t>(msgs.size());
+    auto ready = [&a, msgs = std::move(msgs), stage, simp = &sim_]() {
+        for (const Msg &m : msgs) {
+            MsgSlot &s = a.slot(m.idx);
+            s.msg = m.msg;
+            s.msg.span.stamp(stage, simp->now());
+            s.spill = m.spill;
+            s.seq = ++a.seq;
+            s.state = SlotState::Ready;
+        }
+    };
+    return mem_.postMulti(agent, spans, std::move(ready));
+}
+
+std::vector<PioNic::Msg>
+PioNic::gather(SlotArray &a, int max,
+               std::vector<mem::CoherentSystem::Span> &lines)
+{
+    std::vector<Msg> msgs;
+    for (std::uint32_t idx = a.cons; static_cast<int>(msgs.size()) < max;
+         ++idx) {
+        const MsgSlot &s = a.slot(idx);
+        if (s.state != SlotState::Ready)
+            break;
+        if (s.seq != a.seqSeen + static_cast<std::uint32_t>(msgs.size()) +
+                         1) {
+            integrity_.noteReject();
+            break; // Torn publish: re-poll after the store lands.
+        }
+        msgs.push_back({idx, s.msg, s.spill});
+        lines.push_back({a.lineOf(idx), kSlotBytes});
+    }
+    return msgs;
+}
+
+void
+PioNic::take(SlotArray &a, std::uint32_t n)
+{
+    for (std::uint32_t k = 0; k < n; ++k) {
+        MsgSlot &s = a.slot(a.cons + k);
+        s.state = SlotState::Taken;
+        s.spill = nullptr;
+    }
+    a.cons += n;
+    a.seqSeen += n;
+}
+
+sim::Coro<void>
+PioNic::flushCredits(int q, SlotArray &a, FlushReason reason,
+                     std::uint32_t backlog)
+{
+    Queue &queue = *queues_[q];
+    const auto entries = takeBatch(q, a.credits, reason, backlog);
+    if (entries.empty())
+        co_return;
+
+    std::vector<mem::CoherentSystem::Span> spans;
+    for (const auto &e : entries)
+        spans.push_back({a.lineOf(e.idx), kSlotBytes});
+    auto freed = [&a, entries]() {
+        for (const auto &e : entries) {
+            MsgSlot &s = a.slot(e.idx);
+            s.msg = WirePacket{};
+            s.state = SlotState::Free;
+        }
+    };
+    // The consumer returns the credit; only device writes cross the
+    // CXL port.
+    const bool device = &a == &queue.tx;
+    co_await mem_.postMulti(device ? queue.nicAgent : queue.hostAgent,
+                            spans, std::move(freed));
+    if (device)
+        co_await devPortDelay();
+    noteSlotWrite(spans.front().addr);
+    co_return;
+}
+
+sim::Coro<void>
 PioNic::idleWait(int q, Tick deadline)
 {
     Queue &queue = *queues_[q];
     // The host's next RX work lands in its consumer slot; park on that
     // line and let the device's publish invalidation wake us. Bounded:
-    // reset() rewinds rxCons, so a waiter must re-check within a beat.
-    const Addr watch = rxLineOf(queue, queue.rxCons);
+    // reset() rewinds rx.cons, so a waiter must re-check within a beat.
+    const Addr watch = queue.rx.lineOf(queue.rx.cons);
     co_await mem_.waitLineChangeUntil(
         watch, mem_.lineVersion(watch),
         std::min(deadline, sim_.now() + cfg_.beatPeriod));

@@ -65,30 +65,33 @@ namespace ccn::pio {
 /// fabric, transport and chaos harness treat all families alike.
 using driver::WirePacket;
 
+/// @name Fixed slot geometry.
+/// @{
+/// Cache lines per message slot: 16B header + 112B inline payload,
+/// which keeps 64B packets (the paper's small-message workhorse) on
+/// the inline path.
+constexpr std::uint32_t kSlotLines = 2;
+constexpr std::uint32_t kSlotBytes = kSlotLines * mem::kLineBytes;
+constexpr std::uint32_t kHeaderBytes = 16; ///< Front of each slot.
+constexpr std::uint32_t kInlineBytes = kSlotBytes - kHeaderBytes;
+constexpr std::uint32_t kNicBatch = 8; ///< Device-side processing burst.
+/// @}
+
 /** Full configuration of a PioNic instance. */
 struct Config
 {
     int numQueues = 1;
 
     /// Message slots per direction per queue (rounded up to a power
-    /// of two). Deliberately small: the slot array *is* the flow
-    /// control window — a consumed slot's credit returns in its own
-    /// metadata, so capacity never needs a separate signal.
+    /// of two, and to at least kNicBatch). Deliberately small: the
+    /// slot array *is* the flow control window — a consumed slot's
+    /// credit returns in its own metadata, so capacity never needs a
+    /// separate signal.
     std::uint32_t numSlots = 64;
-
-    /// Cache lines per message slot. Two lines = 16B header + 112B
-    /// inline payload, which keeps 64B packets (the paper's small-
-    /// message workhorse) on the inline path.
-    std::uint32_t slotLines = 2;
-
-    /// Header bytes reserved at the front of each slot.
-    std::uint32_t headerBytes = 16;
 
     driver::MempoolConfig pool;
     driver::CpuCosts hostCosts{};
     driver::CpuCosts nicCosts{};
-
-    int nicBatch = 8; ///< Device-side processing burst.
 
     /// Credit-return coalescing (Fig 16): consumed slots on both sides
     /// stay Taken until B credits are pending (or the flush timeout /
@@ -120,13 +123,6 @@ struct Config
 
     /// obs::SpanTable path label ("pio" / "pio_cxl").
     std::string spanPath = "pio";
-
-    /** Inline payload budget per message slot. */
-    std::uint32_t
-    inlineBytes() const
-    {
-        return slotLines * mem::kLineBytes - headerBytes;
-    }
 };
 
 /** UPI-flavored preset: writer-homed slots, no added port latency. */
@@ -137,12 +133,10 @@ Config upiConfig(int num_queues, int host_socket,
                  const mem::PlatformConfig &plat);
 
 /**
- * CXL.cache-flavored preset: all slots host-homed (the device caches
- * host memory) and devExtraLat models the longer CXL round trip.
+ * CXL.cache-flavored preset with platform-calibrated software costs:
+ * all slots host-homed (the device caches host memory) and
+ * devExtraLat models the longer CXL round trip.
  */
-Config cxlConfig(int num_queues, int host_socket);
-
-/** cxlConfig() with platform-calibrated software costs. */
 Config cxlConfig(int num_queues, int host_socket,
                  const mem::PlatformConfig &plat);
 
@@ -173,7 +167,6 @@ class PioNic : public driver::NicInterface
     std::vector<mem::Addr> faultLines() const override;
     /// @}
 
-    mem::AgentId nicAgent(int q) const;
     const Config &config() const { return cfg_; }
 
     /** Slot-state polls (the PIO analogue of ring signal reads). */
@@ -203,6 +196,50 @@ class PioNic : public driver::NicInterface
         driver::PacketBuf *spill = nullptr;  ///< Oversized-frame payload.
     };
 
+    /** One message in flight through a slot. */
+    struct Msg
+    {
+        std::uint32_t idx = 0;
+        WirePacket msg;
+        driver::PacketBuf *spill = nullptr; ///< Null for inline messages.
+    };
+
+    /**
+     * One direction's slot array and its protocol state. Both
+     * directions run the same protocol with the roles swapped: the
+     * host produces into tx and the device consumes; the device
+     * produces into rx and the host consumes.
+     */
+    struct SlotArray
+    {
+        SlotArray(mem::CoherentSystem &m, int home_socket,
+                  const Config &cfg);
+
+        mem::Addr
+        lineOf(std::uint32_t idx) const
+        {
+            return base + static_cast<std::uint64_t>(idx & mask) *
+                              kSlotBytes;
+        }
+
+        MsgSlot &slot(std::uint32_t idx) { return slots[idx & mask]; }
+
+        mem::Addr base; ///< First slot line.
+        std::uint32_t mask;
+        std::vector<MsgSlot> slots;
+        std::uint32_t prod = 0; ///< Producer position (unmasked).
+        std::uint32_t cons = 0; ///< Consumer position (unmasked).
+        // Publish-sequence counters: each published slot carries the
+        // producer's next sequence number; the consumer verifies
+        // continuity before trusting slot contents (a torn publish
+        // shows a Ready state word with a stale sequence).
+        std::uint32_t seq = 0;
+        std::uint32_t seqSeen = 0;
+        /// Credit-return coalescing: consumed-but-not-yet-freed slot
+        /// indices.
+        driver::PublishBatch credits;
+    };
+
     struct Queue
     {
         Queue(sim::Simulator &sim, mem::CoherentSystem &m,
@@ -212,34 +249,12 @@ class PioNic : public driver::NicInterface
         mem::AgentId hostAgent;
         mem::AgentId nicAgent;
 
-        mem::Addr txBase = 0; ///< Host-homed TX slot lines.
-        mem::Addr rxBase = 0; ///< RX slot lines (homing per config).
-        std::vector<MsgSlot> txSlots;
-        std::vector<MsgSlot> rxSlots;
-
-        // Producer/consumer positions (masked by numSlots-1).
-        std::uint32_t txProd = 0; ///< Host.
-        std::uint32_t txCons = 0; ///< Device.
-        std::uint32_t rxProd = 0; ///< Device.
-        std::uint32_t rxCons = 0; ///< Host.
-
-        // Publish-sequence counters: each published slot carries the
-        // producer's next sequence number; the consumer verifies
-        // continuity before trusting slot contents (a torn publish
-        // shows a Ready state word with a stale sequence).
-        std::uint32_t txSeq = 0;     ///< Host-stamped TX publishes.
-        std::uint32_t txSeqSeen = 0; ///< Device-verified TX consumes.
-        std::uint32_t rxSeq = 0;     ///< Device-stamped RX publishes.
-        std::uint32_t rxSeqSeen = 0; ///< Host-verified RX reaps.
+        SlotArray tx; ///< Host-homed (writer-homed).
+        SlotArray rx; ///< Homing per config (the UPI/CXL distinction).
 
         sim::Mailbox<WirePacket> &rxInput; ///< Wire port input.
         sim::Semaphore coreLock; ///< One device core serves both tasks.
         sim::Gate &wireDrained;  ///< RX engine drained below cap.
-
-        /// Credit-return coalescing: reaped-but-not-yet-freed slot
-        /// indices on the host RX side and the device TX side.
-        driver::PublishBatch rxCreditPending;
-        driver::PublishBatch txCreditPending;
 
         // Monotonic progress counters (survive resets); the Watchdog
         // samples these through health() for stall detection.
@@ -254,7 +269,10 @@ class PioNic : public driver::NicInterface
     /// @name Lifecycle hooks (NicInterface).
     /// @{
     void spawnEngines(int q) override;
-    mem::AgentId deviceAgent(int q) const override { return nicAgent(q); }
+    mem::AgentId deviceAgent(int q) const override
+    {
+        return queues_[q]->nicAgent;
+    }
     std::vector<driver::PacketBuf *> reclaimSlots(int q) override;
     void rewindQueue(int q) override;
     /** Sweep each queue's core lock: once it can be taken, no device
@@ -264,57 +282,59 @@ class PioNic : public driver::NicInterface
     void registerProfRegions() override;
     driver::PublishBatch &timedBatch(int q) override
     {
-        return queues_[q]->rxCreditPending;
+        return queues_[q]->rx.credits;
     }
     sim::Coro<void> flushTimedBatch(int q) override
     {
-        return flushRxCredits(q, FlushReason::Timeout);
+        Queue &queue = *queues_[q];
+        return flushCredits(
+            q, queue.rx, FlushReason::Timeout,
+            static_cast<std::uint32_t>(queue.rxInput.size()));
     }
     /// @}
 
     sim::Task devTxTask(int q);
     sim::Task devRxTask(int q);
 
-    /// @name Credit-return coalescing (Fig 16).
+    /// @name The slot protocol, shared by both directions.
     /// @{
-    /** Flip every pending host-reaped RX slot back to Free at once. */
-    sim::Coro<void> flushRxCredits(int q, FlushReason reason);
-    /** Flip every pending device-consumed TX slot back to Free. */
-    sim::Coro<void> flushTxCredits(int q, FlushReason reason);
+    /**
+     * Producer publish of @p msgs from @p agent: posted stores of
+     * @p spans (the slot lines, plus any payload the producer writes
+     * alongside). At store visibility each slot takes its message,
+     * the message's span is stamped with @p stage, and the slot gets
+     * the next sequence number and flips Ready. Advances a.prod.
+     * Returns the store coroutine itself; @p spans must outlive it.
+     */
+    sim::Coro<void> publish(SlotArray &a, mem::AgentId agent,
+                            const std::vector<mem::CoherentSystem::Span>
+                                &spans,
+                            std::vector<Msg> msgs, obs::SpanStage stage);
+
+    /**
+     * Consumer gather from a.cons: up to @p max Ready slots whose
+     * sequence numbers continue a.seqSeen, their slot lines appended
+     * to @p lines. A torn publish ends the gather. Changes no slot.
+     */
+    std::vector<Msg> gather(SlotArray &a, int max,
+                            std::vector<mem::CoherentSystem::Span> &lines);
+
+    /**
+     * Take the first @p n gathered slots: mark them Taken (the credit
+     * is now the consumer's to return) and advance a.cons and
+     * a.seqSeen past them.
+     */
+    void take(SlotArray &a, std::uint32_t n);
+
+    /**
+     * Credit return (Fig 16 coalescing): flip every pending consumed
+     * slot of @p a back to Free with one posted store burst from the
+     * consumer — the device for tx, the host for rx. @p backlog is
+     * producer work waiting behind the batch.
+     */
+    sim::Coro<void> flushCredits(int q, SlotArray &a, FlushReason reason,
+                                 std::uint32_t backlog);
     /// @}
-
-    /** Bytes occupied by one message slot. */
-    std::uint32_t
-    slotBytes() const
-    {
-        return cfg_.slotLines * mem::kLineBytes;
-    }
-
-    mem::Addr
-    txLineOf(const Queue &q, std::uint32_t idx) const
-    {
-        return q.txBase + static_cast<std::uint64_t>(idx & slotMask_) *
-                              slotBytes();
-    }
-
-    mem::Addr
-    rxLineOf(const Queue &q, std::uint32_t idx) const
-    {
-        return q.rxBase + static_cast<std::uint64_t>(idx & slotMask_) *
-                              slotBytes();
-    }
-
-    MsgSlot &
-    txSlot(Queue &q, std::uint32_t idx)
-    {
-        return q.txSlots[idx & slotMask_];
-    }
-
-    MsgSlot &
-    rxSlot(Queue &q, std::uint32_t idx)
-    {
-        return q.rxSlots[idx & slotMask_];
-    }
 
     /// @name Slot telemetry (the PIO signaling choke points).
     /// @{
@@ -347,7 +367,6 @@ class PioNic : public driver::NicInterface
     }
 
     Config cfg_;
-    std::uint32_t slotMask_ = 0;
 
     std::vector<std::unique_ptr<Queue>> queues_;
 

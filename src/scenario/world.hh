@@ -148,19 +148,6 @@ makePcieWorld(const mem::PlatformConfig &plat,
     return w;
 }
 
-/** Build a world with a PIO message-register NIC attached. */
-inline std::unique_ptr<World>
-makePioWorld(const mem::PlatformConfig &plat, const pio::Config &cfg,
-             int host_socket = 0, int nic_socket = 1)
-{
-    auto w = std::make_unique<World>(plat);
-    w->nic = std::make_unique<pio::PioNic>(w->simv, w->system, cfg,
-                                           host_socket, nic_socket,
-                                           w->rng);
-    w->nic->start();
-    return w;
-}
-
 /**
  * One entry in the interface-family registry. `kind` names the
  * family's architecture (ring-over-coherence, ring-over-PCIe,

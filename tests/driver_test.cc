@@ -356,6 +356,32 @@ TEST(PublishBatch, AdaptiveGrowsUnderBacklogAndDecaysOnTimeout)
     EXPECT_EQ(b.target(), 8u);
 }
 
+// A device reset drops the staged batch: the entries come back for
+// buffer reclaim, and the adaptive target restarts at the policy's
+// starting size instead of learning from the reset as from traffic.
+TEST(PublishBatch, DiscardReturnsEntriesAndRestoresStartTarget)
+{
+    driver::BatchPolicy pol;
+    pol.mode = driver::BatchMode::Adaptive;
+    pol.size = 4;
+    pol.maxSize = 16;
+    driver::PublishBatch b(pol);
+    for (std::uint32_t i = 0; i < 4; ++i)
+        b.stage(i, nullptr, 0);
+    (void)b.take(false, /*backlog=*/32);
+    ASSERT_EQ(b.target(), 8u);
+
+    driver::PacketBuf buf;
+    b.stage(7, &buf, 5);
+    const auto dropped = b.discard();
+    ASSERT_EQ(dropped.size(), 1u);
+    EXPECT_EQ(dropped.front().idx, 7u);
+    EXPECT_EQ(dropped.front().buf, &buf);
+    EXPECT_TRUE(b.empty());
+    EXPECT_EQ(b.oldestStagedAt(), 0u);
+    EXPECT_EQ(b.target(), 4u);
+}
+
 // Regression: the ring wraps indices by masking with entries-1, which
 // silently aliased distinct slots whenever a non-power-of-two size was
 // requested (e.g. 48 -> mask 47 = 0b101111 maps 16 and 0 together).

@@ -238,7 +238,7 @@ TEST(PioNic, OversizedFrameSpillsToMempool)
 {
     World w(pio::upiConfig(1, 0));
     const std::uint32_t len = 1024; // Far beyond the inline budget.
-    ASSERT_GT(len, w.nic.config().inlineBytes());
+    ASSERT_GT(len, pio::kInlineBytes);
 
     bool ok = false;
     w.simv.spawn(spillTask(w, len, &ok));
@@ -247,6 +247,77 @@ TEST(PioNic, OversizedFrameSpillsToMempool)
     ASSERT_TRUE(ok);
     // Both directions spill: TX by reference, RX into a fresh buffer.
     EXPECT_GE(w.nic.spills(), 1u);
+    EXPECT_EQ(w.nic.auditLeaks(), 0u);
+}
+
+/** One rxBurst; appends the reaped flow ids to @p flows. */
+sim::Coro<void>
+reapFlows(World &w, std::vector<std::uint64_t> *flows)
+{
+    driver::PacketBuf *rx[8];
+    const int r = co_await w.nic.rxBurst(0, rx, 8);
+    for (int i = 0; i < r; ++i)
+        flows->push_back(rx[i]->flowId);
+    if (r > 0)
+        co_await w.nic.freeBufs(0, rx, r);
+    co_return;
+}
+
+/**
+ * Loop back @p n inline messages, hold all but @p k of the pool's
+ * small buffers, and reap twice: once short of buffers, once after
+ * the held buffers return. Records each reap's flow ids.
+ */
+sim::Task
+rxPoolShortageTask(World &w, int n, int k,
+                   std::vector<std::uint64_t> *first,
+                   std::vector<std::uint64_t> *second, bool *done)
+{
+    driver::PacketBuf *bufs[8];
+    const int got = co_await w.nic.allocBufs(0, 64, bufs, n);
+    EXPECT_EQ(got, n);
+    for (int i = 0; i < got; ++i) {
+        bufs[i]->len = 64;
+        bufs[i]->flowId = static_cast<std::uint64_t>(i);
+    }
+    const int tx = co_await w.nic.txBurst(0, bufs, got);
+    EXPECT_EQ(tx, n);
+    if (tx != n)
+        co_return;
+    // Every message lands in an RX slot; nothing reaps it yet.
+    co_await w.simv.delay(sim::fromUs(20.0));
+
+    const auto &pool = w.nic.pool();
+    const std::size_t avail =
+        pool.freeCount(driver::BufClass::Small) +
+        pool.recycledCount(driver::BufClass::Small);
+    std::vector<driver::PacketBuf *> held(avail -
+                                          static_cast<std::size_t>(k));
+    const int hold = static_cast<int>(held.size());
+    EXPECT_EQ(co_await w.nic.allocBufs(0, 64, held.data(), hold), hold);
+
+    co_await reapFlows(w, first);
+    co_await w.nic.freeBufs(0, held.data(), hold);
+    co_await reapFlows(w, second);
+    *done = true;
+    co_return;
+}
+
+// An RX reap short of pool buffers lands only what it can cover and
+// leaves the rest Ready, in order, for the next reap.
+TEST(PioNic, RxPoolShortageTrimsReapAndKeepsOrder)
+{
+    World w(pio::upiConfig(1, 0));
+    std::vector<std::uint64_t> first;
+    std::vector<std::uint64_t> second;
+    bool done = false;
+    w.simv.spawn(rxPoolShortageTask(w, 6, 2, &first, &second, &done));
+    w.simv.run(sim::fromUs(300.0));
+
+    ASSERT_TRUE(done);
+    EXPECT_EQ(first, (std::vector<std::uint64_t>{0, 1}));
+    EXPECT_EQ(second, (std::vector<std::uint64_t>{2, 3, 4, 5}));
+    EXPECT_EQ(w.nic.integrityRetries(), 0u);
     EXPECT_EQ(w.nic.auditLeaks(), 0u);
 }
 

@@ -779,7 +779,7 @@ TEST_P(BatchMatrix, EveryPacketDeliveredAndNothingHeldOrLeaked)
 INSTANTIATE_TEST_SUITE_P(
     FamiliesByBatch, BatchMatrix,
     testing::Combine(testing::Values("ccnic", "upi_unopt", "pcie_e810",
-                                     "pio"),
+                                     "pio", "pio_cxl"),
                      testing::Values("off", "4", "adaptive")),
     [](const testing::TestParamInfo<BatchCell> &info) {
         return std::get<0>(info.param) + "_batch_" +
