@@ -7,10 +7,15 @@
  * like bench runs.
  *
  * Usage: ccn_run [--quiet] [--trace <file>] [--profile-coherence]
- *        <scenario.ccn>
+ *        [--check-invariants] <scenario.ccn>
  *
- * Exit codes: 0 run complete, 1 runtime failure, 2 scenario
- * parse/validation error (diagnostic on stderr as file:line:col).
+ * --check-invariants runs mem::CoherentSystem::checkInvariants() on
+ * every memory system the scenario built once its run ends, and fails
+ * the run if any reports a violation. The report is unchanged.
+ *
+ * Exit codes: 0 run complete, 1 runtime failure or coherence invariant
+ * violation, 2 scenario parse/validation error (diagnostic on stderr
+ * as file:line:col).
  */
 
 #include <exception>
@@ -28,7 +33,8 @@ int
 usage()
 {
     std::cerr << "usage: ccn_run [--quiet] [--trace <file>] "
-                 "[--profile-coherence] <scenario.ccn>\n";
+                 "[--profile-coherence] [--check-invariants] "
+                 "<scenario.ccn>\n";
     return 2;
 }
 
@@ -40,6 +46,7 @@ main(int argc, char **argv)
     std::string path;
     std::string trace_file;
     bool quiet = false;
+    bool check_invariants = false;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
         if (a == "--quiet") {
@@ -49,6 +56,8 @@ main(int argc, char **argv)
             ccn::obs::Trace::global().enable(1 << 18);
         } else if (a == "--profile-coherence") {
             ccn::obs::CoherenceProfiler::setDefaultEnabled(true);
+        } else if (a == "--check-invariants") {
+            check_invariants = true;
         } else if (!a.empty() && a[0] == '-') {
             return usage();
         } else if (path.empty()) {
@@ -64,13 +73,22 @@ main(int argc, char **argv)
         const ccn::scenario::ScenarioSpec spec =
             ccn::scenario::loadScenario(path);
         const ccn::scenario::ScenarioOutcome out =
-            ccn::scenario::runScenario(spec, quiet);
+            ccn::scenario::runScenario(spec, quiet, check_invariants);
         const std::string written = out.json.write();
         if (!quiet && !written.empty())
             std::cout << "\nwrote " << written << "\n";
         if (!trace_file.empty()) {
             std::ofstream f(trace_file);
             f << ccn::obs::Trace::global().json() << "\n";
+        }
+        if (check_invariants) {
+            for (const std::string &v : out.invariantViolations)
+                std::cerr << "ccn_run: coherence invariant: " << v << "\n";
+            if (!out.invariantViolations.empty())
+                return 1;
+            if (!quiet)
+                std::cout << "coherence invariants hold in "
+                          << out.systemsChecked << " memory systems\n";
         }
     } catch (const ccn::scenario::ScenarioError &e) {
         std::cerr << e.what() << "\n";

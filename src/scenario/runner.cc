@@ -407,8 +407,18 @@ runKv(const ScenarioSpec &spec, FabricRun &run, ScenarioOutcome &out)
     }
 }
 
+/** Record @p system's invariant violations, each prefixed by @p who. */
 void
-runSweep(const ScenarioSpec &spec, ScenarioOutcome &out)
+checkSystem(const mem::CoherentSystem &system, const std::string &who,
+            ScenarioOutcome &out)
+{
+    out.systemsChecked++;
+    for (const std::string &v : system.checkInvariants())
+        out.invariantViolations.push_back(who + ": " + v);
+}
+
+void
+runSweep(const ScenarioSpec &spec, ScenarioOutcome &out, bool check)
 {
     const SweepSpec &s = spec.sweep;
     const mem::PlatformConfig plat = platformFor(spec);
@@ -421,9 +431,17 @@ runSweep(const ScenarioSpec &spec, ScenarioOutcome &out)
         }
         const auto factory = worldFactory(key, plat, s.queues);
         for (const std::uint32_t size : s.sizes) {
+            const std::string who =
+                key + " size " + std::to_string(size);
+            WorldCheck checker;
+            if (check) {
+                checker = [&out, &who](World &w) {
+                    checkSystem(w.system, who, out);
+                };
+            }
             t.row().cell(familyLabel(key)).cell(kind).cell(
                 static_cast<std::uint64_t>(size))
-                .cell(minLatencyNs(factory, size), 1);
+                .cell(minLatencyNs(factory, size, checker), 1);
         }
     }
     out.ranSweep = true;
@@ -445,7 +463,7 @@ reportName(const ScenarioSpec &spec)
 } // namespace
 
 ScenarioOutcome
-runScenario(const ScenarioSpec &spec, bool quiet)
+runScenario(const ScenarioSpec &spec, bool quiet, bool check_invariants)
 {
     ScenarioOutcome out;
     out.json = stats::JsonReport(reportName(spec));
@@ -486,7 +504,7 @@ runScenario(const ScenarioSpec &spec, bool quiet)
     }
 
     if (spec.sweep.present) {
-        runSweep(spec, out);
+        runSweep(spec, out, check_invariants);
     } else {
         FabricRun run(spec);
         if (spec.replay.present)
@@ -494,6 +512,11 @@ runScenario(const ScenarioSpec &spec, bool quiet)
         else
             runKv(spec, run, out);
         out.json.add("ports", portsTable(run));
+        if (check_invariants) {
+            for (std::size_t i = 0; i < run.hosts.size(); ++i)
+                checkSystem(run.hosts[i]->system, "host " + run.names[i],
+                            out);
+        }
     }
 
     addScenarioSection(out.json, spec, mode);

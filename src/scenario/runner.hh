@@ -12,6 +12,7 @@
 #define CCN_SCENARIO_RUNNER_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "scenario/ast.hh"
@@ -56,16 +57,25 @@ struct ScenarioOutcome
     /// Requests recorded when the workload declared a capture file
     /// (also written to that file).
     std::vector<TraceRecord> captured;
+
+    /// @name Coherence invariant check (when requested).
+    /// @{
+    int systemsChecked = 0; ///< Memory systems checked at run end.
+    std::vector<std::string> invariantViolations;
+    /// @}
 };
 
 /**
  * Run @p spec to completion. Prints the result tables to stdout
- * (matching bench output style) unless @p quiet. Throws ScenarioError
- * for runtime scenario problems (unreadable trace file) and
- * propagates harness exceptions unchanged.
+ * (matching bench output style) unless @p quiet. With
+ * @p check_invariants, every memory system the run built is checked
+ * with CoherentSystem::checkInvariants() once its run ends, and the
+ * violations are returned in the outcome. Throws ScenarioError for
+ * runtime scenario problems (unreadable trace file) and propagates
+ * harness exceptions unchanged.
  */
-ScenarioOutcome runScenario(const ScenarioSpec &spec,
-                            bool quiet = false);
+ScenarioOutcome runScenario(const ScenarioSpec &spec, bool quiet = false,
+                            bool check_invariants = false);
 
 } // namespace ccn::scenario
 

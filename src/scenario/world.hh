@@ -332,13 +332,19 @@ hostHooks(HostWorld &w)
     return net::hooksFor(*w.nic);
 }
 
+/** Inspects a point's world after its run, before it is destroyed. */
+using WorldCheck = std::function<void(World &)>;
+
 /** Run one loopback point in a fresh world built by @p factory. */
 inline workload::LoopbackResult
 runPoint(const std::function<std::unique_ptr<World>()> &factory,
-         workload::LoopbackConfig cfg)
+         workload::LoopbackConfig cfg, const WorldCheck &check = {})
 {
     auto w = factory();
-    return workload::runLoopback(w->simv, w->system, *w->nic, cfg);
+    auto r = workload::runLoopback(w->simv, w->system, *w->nic, cfg);
+    if (check)
+        check(*w);
+    return r;
 }
 
 /**
@@ -363,14 +369,14 @@ findPeak(const std::function<std::unique_ptr<World>()> &factory,
 /** Measure the closed-loop (window=1) minimum latency. */
 inline double
 minLatencyNs(const std::function<std::unique_ptr<World>()> &factory,
-             std::uint32_t pkt_size = 64)
+             std::uint32_t pkt_size = 64, const WorldCheck &check = {})
 {
     workload::LoopbackConfig cfg;
     cfg.threads = 1;
     cfg.pktSize = pkt_size;
     cfg.closedWindow = 1;
     cfg.window = sim::fromUs(250.0);
-    auto r = runPoint(factory, cfg);
+    auto r = runPoint(factory, cfg, check);
     return r.minNs;
 }
 

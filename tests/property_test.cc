@@ -15,8 +15,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <set>
+#include <string>
 #include <tuple>
 #include <type_traits>
 #include <vector>
@@ -326,6 +328,106 @@ TEST_P(CoherenceRandom, DeterministicAndMonotonic)
     run_once(&second);
     // Property: bit-identical replay.
     EXPECT_EQ(first, second);
+}
+
+/**
+ * Property: the protocol state stays coherent (checkInvariants()) after
+ * every operation, and no line's version ever decreases, under random
+ * traffic from four cores on two sockets plus both sockets' I/O
+ * agents. The caches are tiny, so evictions, LLC victims and dirty
+ * writebacks happen on most operations.
+ */
+TEST_P(CoherenceRandom, InvariantsHoldUnderEvictions)
+{
+    const int seed = GetParam();
+    mem::PlatformConfig cfg = mem::icxConfig();
+    cfg.l2Lines = 16;
+    cfg.l2Ways = 4;
+    cfg.llcLines = 32;
+    cfg.llcWays = 4;
+    sim::Simulator simv;
+    mem::CoherentSystem m(simv, cfg);
+    std::vector<mem::AgentId> agents;
+    for (int i = 0; i < 4; ++i)
+        agents.push_back(m.addAgent(i % 2));
+    constexpr std::uint64_t kLines = 48;
+    constexpr std::uint64_t kSpan = 4; // Lines a range op may cover.
+    std::vector<mem::Addr> lines;
+    for (int s = 0; s < 2; ++s) {
+        const mem::Addr base = m.alloc(s, kLines * mem::kLineBytes);
+        for (std::uint64_t i = 0; i < kLines; ++i)
+            lines.push_back(base + i * mem::kLineBytes);
+    }
+    std::vector<std::uint32_t> seen(lines.size(), 0);
+    int checked = 0;
+    bool done = false;
+    auto body = [&]() -> sim::Coro<void> {
+        sim::Rng r(static_cast<std::uint64_t>(seed));
+        for (int i = 0; i < 3000; ++i) {
+            const mem::AgentId ag = agents[r.below(agents.size())];
+            const int sock = static_cast<int>(r.below(2));
+            // Range ops stay inside one socket's block of lines.
+            const std::uint64_t pick = r.below(lines.size());
+            const mem::Addr addr =
+                lines[pick - pick % kLines +
+                      std::min(pick % kLines, kLines - kSpan)];
+            switch (r.below(10)) {
+              case 0:
+                co_await m.load(ag, addr, 8);
+                break;
+              case 1:
+                co_await m.store(ag, addr, 8);
+                break;
+              case 2:
+                co_await m.atomicRmw(ag, addr);
+                break;
+              case 3:
+                co_await m.loadRange(ag, addr, kSpan * mem::kLineBytes);
+                break;
+              case 4:
+                co_await m.storeRange(ag, addr, kSpan * mem::kLineBytes);
+                break;
+              case 5:
+                co_await m.ntStoreRange(ag, addr, 2 * mem::kLineBytes);
+                break;
+              case 6:
+                co_await m.flush(ag, addr, 2 * mem::kLineBytes);
+                break;
+              case 7:
+                co_await simv.delayUntil(m.ddioWrite(
+                    sock, addr, 2 * mem::kLineBytes, simv.now()));
+                break;
+              case 8:
+                co_await simv.delayUntil(m.dmaRead(
+                    sock, addr, kSpan * mem::kLineBytes, simv.now()));
+                break;
+              default: {
+                std::vector<mem::CoherentSystem::Span> spans;
+                spans.push_back({addr, 8});
+                spans.push_back({addr + 2 * mem::kLineBytes, 64});
+                co_await m.postMulti(ag, spans, nullptr);
+                break;
+              }
+            }
+            const std::vector<std::string> bad = m.checkInvariants();
+            if (!bad.empty()) {
+                ADD_FAILURE() << "op " << i << ": " << bad.size()
+                              << " violations, first: " << bad[0];
+                break;
+            }
+            ++checked;
+            for (std::size_t j = 0; j < lines.size(); ++j) {
+                const std::uint32_t v = m.lineVersion(lines[j]);
+                EXPECT_GE(v, seen[j]) << "line " << j << " op " << i;
+                seen[j] = v;
+            }
+        }
+        co_return;
+    };
+    simv.spawn(runBody(body, done));
+    simv.run();
+    EXPECT_TRUE(done);
+    EXPECT_EQ(checked, 3000);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CoherenceRandom,
