@@ -1,5 +1,6 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -20,36 +21,47 @@ SetAssocCache::SetAssocCache(std::uint32_t total_lines, std::uint32_t ways)
     : numSets_(floorPow2(std::max<std::uint32_t>(1, total_lines / ways))),
       ways_(ways)
 {
-    entries_.resize(static_cast<std::size_t>(numSets_) * ways_);
+    const std::size_t n = static_cast<std::size_t>(numSets_) * ways_;
+    tags_.assign(n, kNoLine);
+    entries_.resize(n);
 }
 
-std::uint32_t
-SetAssocCache::setIndex(Addr line) const
+std::size_t
+SetAssocCache::setBase(Addr line) const
 {
     // Hash the line number over the sets. Using the raw line index
     // modulo sets preserves the real stride-conflict behaviour that the
     // paper's small-buffer optimization depends on (4KB-strided buffers
     // landing in a fraction of the sets).
-    return static_cast<std::uint32_t>((line / kLineBytes) &
-                                      (numSets_ - 1));
+    return static_cast<std::size_t>((line / kLineBytes) & (numSets_ - 1)) *
+           ways_;
+}
+
+std::ptrdiff_t
+SetAssocCache::wayOf(Addr line) const
+{
+    assert(line != kNoLine);
+    const std::size_t base = setBase(line);
+    const Addr *tags = &tags_[base];
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+        if (tags[w] == line)
+            return static_cast<std::ptrdiff_t>(base + w);
+    }
+    return -1;
 }
 
 CacheEntry *
 SetAssocCache::find(Addr line)
 {
-    CacheEntry *set = &entries_[static_cast<std::size_t>(setIndex(line)) *
-                                ways_];
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (set[w].valid() && set[w].line == line)
-            return &set[w];
-    }
-    return nullptr;
+    const std::ptrdiff_t i = wayOf(line);
+    return i < 0 ? nullptr : &entries_[static_cast<std::size_t>(i)];
 }
 
 const CacheEntry *
 SetAssocCache::find(Addr line) const
 {
-    return const_cast<SetAssocCache *>(this)->find(line);
+    const std::ptrdiff_t i = wayOf(line);
+    return i < 0 ? nullptr : &entries_[static_cast<std::size_t>(i)];
 }
 
 CacheEntry *
@@ -69,26 +81,27 @@ SetAssocCache::insert(Addr line, LineState state, bool dirty,
     if (evicted)
         evicted->valid = false;
 
-    CacheEntry *set = &entries_[static_cast<std::size_t>(setIndex(line)) *
-                                ways_];
-    CacheEntry *victim = &set[0];
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (!set[w].valid()) {
-            victim = &set[w];
+    // The first invalid way, else the least recently used one.
+    const std::size_t base = setBase(line);
+    std::size_t v = base;
+    for (std::size_t i = base; i < base + ways_; ++i) {
+        if (tags_[i] == kNoLine) {
+            v = i;
             break;
         }
-        if (set[w].lruStamp < victim->lruStamp)
-            victim = &set[w];
+        if (entries_[i].lruStamp < entries_[v].lruStamp)
+            v = i;
     }
 
-    if (victim->valid() && evicted) {
+    CacheEntry *victim = &entries_[v];
+    if (tags_[v] != kNoLine && evicted) {
         evicted->valid = true;
-        evicted->line = victim->line;
+        evicted->line = tags_[v];
         evicted->state = victim->state;
         evicted->dirty = victim->dirty;
     }
 
-    victim->line = line;
+    tags_[v] = line;
     victim->state = state;
     victim->dirty = dirty;
     victim->readyAt = 0;
@@ -100,17 +113,20 @@ SetAssocCache::insert(Addr line, LineState state, bool dirty,
 bool
 SetAssocCache::erase(Addr line)
 {
-    CacheEntry *e = find(line);
-    if (!e)
+    const std::ptrdiff_t i = wayOf(line);
+    if (i < 0)
         return false;
-    e->state = LineState::Invalid;
-    e->dirty = false;
+    tags_[static_cast<std::size_t>(i)] = kNoLine;
+    CacheEntry &e = entries_[static_cast<std::size_t>(i)];
+    e.state = LineState::Invalid;
+    e.dirty = false;
     return true;
 }
 
 void
 SetAssocCache::clear()
 {
+    std::fill(tags_.begin(), tags_.end(), kNoLine);
     for (auto &e : entries_) {
         e.state = LineState::Invalid;
         e.dirty = false;

@@ -375,7 +375,8 @@ class CalendarResource
         prune();
         const double cap =
             bytesPerSecond_ * toSeconds(bucketWidth_);
-        std::size_t idx = bucketIndex(earliest);
+        // Buckets before full_ have no space left; skip them.
+        std::size_t idx = std::max(bucketIndex(earliest), full_);
         double remaining = static_cast<double>(bytes);
         Tick completion = earliest;
         while (remaining > 0) {
@@ -395,6 +396,8 @@ class CalendarResource
                              static_cast<double>(bucketWidth_));
             ++idx;
         }
+        while (full_ < used_.size() && cap - used_[full_] <= 0.0)
+            ++full_;
         const Tick min_done =
             earliest + serializationTime(bytes, bytesPerSecond_);
         return std::max(completion, min_done);
@@ -408,6 +411,7 @@ class CalendarResource
     void setRate(double bytes_per_second)
     {
         bytesPerSecond_ = bytes_per_second;
+        full_ = 0; // Bucket capacity changed; recount.
     }
 
     double rate() const { return bytesPerSecond_; }
@@ -433,6 +437,8 @@ class CalendarResource
         while (!used_.empty() && base_ + bucketWidth_ <= now) {
             used_.pop_front();
             base_ += bucketWidth_;
+            if (full_ > 0)
+                --full_;
         }
     }
 
@@ -441,6 +447,9 @@ class CalendarResource
     Tick bucketWidth_;
     Tick base_ = 0;
     std::deque<double> used_;
+    /// Leading buckets of used_ known to be full: reserveAt() starts
+    /// its walk past them. Never more than the true count.
+    std::size_t full_ = 0;
     std::uint64_t bytesServed_ = 0;
 };
 

@@ -14,6 +14,7 @@
 #include "driver/packet.hh"
 #include "driver/ring.hh"
 #include "mem/platform.hh"
+#include "sim/random.hh"
 
 namespace {
 
@@ -448,6 +449,39 @@ TEST(WirePacket, WireFromThenFillFromWireRoundTrips)
     EXPECT_EQ(rx.span.stamped, span.stamped);
     for (std::size_t i = 0; i < obs::kSpanStages; ++i)
         EXPECT_EQ(rx.span.t[i], span.t[i]) << "stage " << i;
+}
+
+/** The bytewise shift-register CRC-32C that crc32cWord's tables encode. */
+std::uint32_t
+crc32cWordBitwise(std::uint32_t crc, std::uint64_t word)
+{
+    for (int i = 0; i < 8; ++i) {
+        crc ^= static_cast<std::uint8_t>(word >> (i * 8));
+        for (int b = 0; b < 8; ++b)
+            crc = (crc >> 1) ^ (0x82f63b78u & (~(crc & 1u) + 1u));
+    }
+    return crc;
+}
+
+TEST(Crc32c, TableMatchesBitwiseReference)
+{
+    for (const std::uint64_t w :
+         {std::uint64_t{0}, ~std::uint64_t{0}, std::uint64_t{1} << 63,
+          std::uint64_t{0x0123456789abcdef}}) {
+        for (const std::uint32_t c : {0u, ~0u, 0x80000000u, 1u})
+            EXPECT_EQ(driver::crc32cWord(c, w), crc32cWordBitwise(c, w));
+    }
+    sim::Rng rng(16);
+    std::uint32_t chained = ~0u, chained_ref = ~0u;
+    for (int i = 0; i < 200000; ++i) {
+        const std::uint64_t w = rng.next();
+        const auto c = static_cast<std::uint32_t>(rng.next());
+        ASSERT_EQ(driver::crc32cWord(c, w), crc32cWordBitwise(c, w))
+            << "word " << i;
+        chained = driver::crc32cWord(chained, w);
+        chained_ref = crc32cWordBitwise(chained_ref, w);
+        ASSERT_EQ(chained, chained_ref) << "chain step " << i;
+    }
 }
 
 } // namespace

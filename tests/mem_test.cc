@@ -12,6 +12,7 @@
 #include <functional>
 #include <vector>
 
+#include "mem/cache.hh"
 #include "mem/coherence.hh"
 #include "mem/platform.hh"
 #include "sim/simulator.hh"
@@ -658,6 +659,177 @@ TEST(Fig8Shape, ColocationBeatsSeparateLines)
                           << " colocated=" << colocated_ns;
     EXPECT_LE(ratio, 2.6) << "separate=" << separate_ns
                           << " colocated=" << colocated_ns;
+}
+
+// ---------------------------------------------------------------------
+// SetAssocCache: tags kept apart from per-way state.
+// ---------------------------------------------------------------------
+
+using mem::LineState;
+using mem::SetAssocCache;
+
+TEST(SetAssocCache, EvictionReportsVictimLineStateAndDirty)
+{
+    SetAssocCache c(8, 2); // 4 sets x 2 ways.
+    ASSERT_EQ(c.numSets(), 4u);
+    const Addr stride = 4 * kLineBytes; // Same set.
+    mem::Eviction ev;
+    c.insert(0, LineState::Modified, true, &ev);
+    EXPECT_FALSE(ev.valid);
+    c.insert(stride, LineState::Shared, false, &ev);
+    EXPECT_FALSE(ev.valid);
+    c.insert(2 * stride, LineState::Exclusive, false, &ev);
+    ASSERT_TRUE(ev.valid);
+    EXPECT_EQ(ev.line, 0u);
+    EXPECT_EQ(ev.state, LineState::Modified);
+    EXPECT_TRUE(ev.dirty);
+    EXPECT_EQ(c.find(0), nullptr);
+    c.insert(3 * stride, LineState::Shared, false, &ev);
+    ASSERT_TRUE(ev.valid);
+    EXPECT_EQ(ev.line, stride);
+    EXPECT_EQ(ev.state, LineState::Shared);
+    EXPECT_FALSE(ev.dirty);
+    ASSERT_NE(c.find(2 * stride), nullptr);
+    EXPECT_EQ(c.find(2 * stride)->state, LineState::Exclusive);
+}
+
+TEST(SetAssocCache, LruVictimOrder)
+{
+    SetAssocCache c(16, 4); // 4 sets x 4 ways.
+    const Addr stride = 4 * kLineBytes;
+    mem::Eviction ev;
+    for (Addr i = 0; i < 4; ++i)
+        c.insert(i * stride, LineState::Shared, false, &ev);
+    c.insert(kLineBytes, LineState::Shared, false, &ev); // Other set.
+    // Touch lines 0 and 2: least recent first is now 1, 3, 0, 2.
+    ASSERT_NE(c.touch(0), nullptr);
+    ASSERT_NE(c.touch(2 * stride), nullptr);
+    // find() does not count as a use.
+    ASSERT_NE(c.find(stride), nullptr);
+    for (const Addr victim : {Addr{1}, Addr{3}, Addr{0}, Addr{2}}) {
+        c.insert((10 + victim) * stride, LineState::Shared, false, &ev);
+        ASSERT_TRUE(ev.valid);
+        EXPECT_EQ(ev.line, victim * stride);
+    }
+    EXPECT_NE(c.find(kLineBytes), nullptr);
+    EXPECT_EQ(c.countValid(), 5u);
+}
+
+TEST(SetAssocCache, EraseThenFindIsNull)
+{
+    SetAssocCache c(8, 2);
+    mem::Eviction ev;
+    c.insert(0, LineState::Modified, true, &ev);
+    c.insert(4 * kLineBytes, LineState::Shared, false, &ev);
+    EXPECT_TRUE(c.erase(0));
+    EXPECT_EQ(c.find(0), nullptr);
+    EXPECT_EQ(c.touch(0), nullptr);
+    EXPECT_FALSE(c.erase(0));
+    EXPECT_EQ(c.countValid(), 1u);
+    // The freed way takes the next line without an eviction.
+    c.insert(8 * kLineBytes, LineState::Shared, false, &ev);
+    EXPECT_FALSE(ev.valid);
+    EXPECT_NE(c.find(4 * kLineBytes), nullptr);
+    EXPECT_NE(c.find(8 * kLineBytes), nullptr);
+}
+
+TEST(SetAssocCache, ClearThenReinsert)
+{
+    SetAssocCache c(16, 4);
+    mem::Eviction ev;
+    for (Addr i = 0; i < 16; ++i)
+        c.insert(i * kLineBytes, LineState::Exclusive, true, &ev);
+    EXPECT_EQ(c.countValid(), 16u);
+    c.clear();
+    EXPECT_EQ(c.countValid(), 0u);
+    for (Addr i = 0; i < 16; ++i)
+        EXPECT_EQ(c.find(i * kLineBytes), nullptr);
+    for (Addr i = 16; i < 32; ++i) {
+        c.insert(i * kLineBytes, LineState::Shared, false, &ev);
+        EXPECT_FALSE(ev.valid) << "line " << i;
+        const mem::CacheEntry *e = c.find(i * kLineBytes);
+        ASSERT_NE(e, nullptr);
+        EXPECT_EQ(e->state, LineState::Shared);
+        EXPECT_FALSE(e->dirty);
+    }
+    EXPECT_EQ(c.countValid(), 16u);
+}
+
+// ---------------------------------------------------------------------
+// Dense directory: per-line state found by index, in 64-line chunks.
+// ---------------------------------------------------------------------
+
+sim::Task
+waitForChange(CoherentSystem &m, Addr line, bool &woke)
+{
+    co_await m.waitLineChange(line, m.lineVersion(line));
+    woke = true;
+}
+
+TEST(DenseDirectory, LinesNeverAllocatedWork)
+{
+    MemFixture f(mem::icxConfig());
+    auto &m = f.system;
+    const Addr last = m.alloc(0, kLineBytes);
+    const std::vector<Addr> lines = {
+        last + (Addr{1} << 30),                // Above the last alloc().
+        mem::socketBase(1) + 5 * kLineBytes,   // Socket 1, below its heap.
+        mem::socketBase(1) + (Addr{1} << 43),  // Past the dense table.
+    };
+    // A poller on each line is woken by the write to it.
+    bool w0 = false, w1 = false, w2 = false;
+    f.simv.spawn(waitForChange(m, lines[0], w0));
+    f.simv.spawn(waitForChange(m, lines[1], w1));
+    f.simv.spawn(waitForChange(m, lines[2], w2));
+    f.run([&]() -> sim::Coro<void> {
+        co_await f.simv.delay(sim::fromNs(10.0));
+        for (const Addr a : lines) {
+            const std::uint32_t v = m.lineVersion(a);
+            co_await m.store(f.writer1, a, 8);
+            EXPECT_EQ(m.lineVersion(a), v + 1);
+            const auto remote = m.counters(f.reader0).remoteReads;
+            co_await m.load(f.reader0, a, 8);
+            // The data comes from writer1's Modified copy on socket 1.
+            EXPECT_EQ(m.counters(f.reader0).remoteReads, remote + 1);
+            EXPECT_TRUE(m.checkInvariants().empty());
+        }
+        co_return;
+    });
+    EXPECT_TRUE(w0);
+    EXPECT_TRUE(w1);
+    EXPECT_TRUE(w2);
+}
+
+TEST(DenseDirectory, DropCachesResetsOwnersAndSharersInEveryChunk)
+{
+    MemFixture f(mem::icxConfig());
+    auto &m = f.system;
+    const Addr base0 = m.alloc(0, 200 * kLineBytes);
+    const Addr base1 = m.alloc(1, 200 * kLineBytes);
+    // Lines in three chunks on socket 0 and two on socket 1.
+    const std::vector<Addr> lines = {
+        base0, base0 + 70 * kLineBytes, base0 + 150 * kLineBytes,
+        base1 + 64 * kLineBytes, base1 + 199 * kLineBytes};
+    f.run([&]() -> sim::Coro<void> {
+        for (const Addr a : lines) {
+            co_await m.store(f.writer0, a, 8); // writer0 owns it (M)...
+            co_await m.load(f.writer1, a, 8);  // ...then both share it.
+        }
+        m.dropCaches();
+        EXPECT_TRUE(m.checkInvariants().empty());
+        for (const Addr a : lines) {
+            // With no owner or sharer left, the read miss installs the
+            // line Exclusive, and the store that follows hits in L2.
+            co_await m.load(f.reader0, a, 8);
+            const auto hits = m.counters(f.reader0).l2Hits;
+            const auto misses = m.counters(f.reader0).l2Misses;
+            co_await m.store(f.reader0, a, 8);
+            EXPECT_EQ(m.counters(f.reader0).l2Hits, hits + 1)
+                << "line 0x" << std::hex << a;
+            EXPECT_EQ(m.counters(f.reader0).l2Misses, misses);
+        }
+        co_return;
+    });
 }
 
 } // namespace

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <vector>
 
 #include "sim/random.hh"
@@ -221,6 +223,153 @@ TEST(BandwidthResource, RateChangeAffectsNewReservations)
     BandwidthResource link(sim, 64e9);
     link.setRate(32e9);
     EXPECT_EQ(link.reserve(64), 2 * kNanosecond);
+}
+
+/**
+ * CalendarResource as it was before it kept its count of leading full
+ * buckets: every reservation walks from the bucket of its earliest
+ * tick. The equivalence test holds the current class to it.
+ */
+class ReferenceCalendar
+{
+  public:
+    ReferenceCalendar(Simulator &sim, double bytes_per_second,
+                      Tick bucket_width = 64 * kNanosecond)
+        : sim_(sim), bytesPerSecond_(bytes_per_second),
+          bucketWidth_(bucket_width)
+    {}
+
+    Tick
+    reserveAt(Tick earliest, std::uint64_t bytes)
+    {
+        if (earliest < sim_.now())
+            earliest = sim_.now();
+        prune();
+        const double cap = bytesPerSecond_ * toSeconds(bucketWidth_);
+        std::size_t idx = bucketIndex(earliest);
+        double remaining = static_cast<double>(bytes);
+        Tick completion = earliest;
+        while (remaining > 0) {
+            while (idx >= used_.size())
+                used_.push_back(0.0);
+            const double space = cap - used_[idx];
+            if (space <= 0.0) {
+                ++idx;
+                continue;
+            }
+            const double take = std::min(space, remaining);
+            used_[idx] += take;
+            remaining -= take;
+            completion = base_ + static_cast<Tick>(idx) * bucketWidth_ +
+                         static_cast<Tick>(
+                             used_[idx] / cap *
+                             static_cast<double>(bucketWidth_));
+            ++idx;
+        }
+        const Tick min_done =
+            earliest + serializationTime(bytes, bytesPerSecond_);
+        return std::max(completion, min_done);
+    }
+
+    void setRate(double bytes_per_second)
+    {
+        bytesPerSecond_ = bytes_per_second;
+    }
+
+  private:
+    std::size_t
+    bucketIndex(Tick t)
+    {
+        if (used_.empty())
+            base_ = (t / bucketWidth_) * bucketWidth_;
+        if (t < base_)
+            t = base_;
+        return static_cast<std::size_t>((t - base_) / bucketWidth_);
+    }
+
+    void
+    prune()
+    {
+        const Tick now = sim_.now();
+        while (!used_.empty() && base_ + bucketWidth_ <= now) {
+            used_.pop_front();
+            base_ += bucketWidth_;
+        }
+    }
+
+    Simulator &sim_;
+    double bytesPerSecond_;
+    Tick bucketWidth_;
+    Tick base_ = 0;
+    std::deque<double> used_;
+};
+
+/**
+ * Drive a CalendarResource and the reference through one seeded
+ * sequence: phases of light and past-saturation load, earliest ticks
+ * in the past, present and future, sizes 16 B-4 KB, time advancing
+ * between bursts (so buckets are pruned), and the rate stepped up and
+ * down mid-run. Returns how many reservations matched before the
+ * first mismatch (all of them on success).
+ */
+Task
+calendarPair(Simulator &sim, std::uint64_t seed, int steps, int &matched,
+             int &total)
+{
+    const double rate = 20e9; // 20 B/ns: 1280 B per 64 ns bucket.
+    CalendarResource cal(sim, rate);
+    ReferenceCalendar ref(sim, rate);
+    Rng rng(seed);
+    for (int step = 0; step < steps; ++step) {
+        if (step == steps / 3) {
+            cal.setRate(2 * rate);
+            ref.setRate(2 * rate);
+        } else if (step == 2 * steps / 3) {
+            cal.setRate(rate / 4);
+            ref.setRate(rate / 4);
+        }
+        // Every fourth phase of 50 steps offers ~4x the link rate.
+        const bool heavy = (step / 50) % 4 == 3;
+        const int burst = static_cast<int>(rng.below(heavy ? 9 : 2));
+        for (int i = 0; i < burst; ++i) {
+            const std::uint64_t bytes = 16 + rng.below(4096 - 16 + 1);
+            const Tick now = sim.now();
+            Tick earliest = now;
+            switch (rng.below(3)) {
+              case 0: {
+                const Tick back = rng.below(2000 * kNanosecond);
+                earliest = now > back ? now - back : 0;
+                break;
+              }
+              case 1:
+                break;
+              default:
+                earliest = now + rng.below(5000 * kNanosecond);
+                break;
+            }
+            ++total;
+            const Tick got = cal.reserveAt(earliest, bytes);
+            const Tick want = ref.reserveAt(earliest, bytes);
+            EXPECT_EQ(got, want) << "seed " << seed << " step " << step
+                                 << " reservation " << total;
+            if (got != want)
+                co_return;
+            ++matched;
+        }
+        co_await sim.delay(fromNs(static_cast<double>(rng.below(200))));
+    }
+}
+
+TEST(CalendarResource, SkippingFullBucketsMatchesReferenceWalk)
+{
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        Simulator sim;
+        int matched = 0, total = 0;
+        sim.spawn(calendarPair(sim, seed, 3000, matched, total));
+        sim.run();
+        EXPECT_EQ(matched, total);
+        EXPECT_GT(total, 2000);
+    }
 }
 
 TEST(Rng, DeterministicAcrossInstances)
