@@ -448,6 +448,27 @@ TEST(ScenarioRun, SweepProducesLatencyTable)
         EXPECT_GT(std::stod(row.back()), 0.0);
 }
 
+TEST(ScenarioRun, CheckInvariantsCoversEveryMemorySystem)
+{
+    // A fabric run checks each host's memory system; a sweep checks
+    // the world of each point before it is torn down.
+    const auto kv = scenario::runScenario(parse(kvScenario("pio", "")),
+                                          true, true);
+    EXPECT_EQ(kv.systemsChecked, 2);
+    EXPECT_TRUE(kv.invariantViolations.empty())
+        << (kv.invariantViolations.empty() ? ""
+                                           : kv.invariantViolations[0]);
+    const auto sweep = scenario::runScenario(
+        parse("sweep smallmsg { interfaces ccnic pio; sizes 64 256; "
+              "queues 1; }"),
+        true, true);
+    EXPECT_EQ(sweep.systemsChecked, 4);
+    EXPECT_TRUE(sweep.invariantViolations.empty())
+        << (sweep.invariantViolations.empty()
+                ? ""
+                : sweep.invariantViolations[0]);
+}
+
 TEST(ScenarioRun, MatchesHandCodedHarness)
 {
     // The scenario path must reproduce the hand-coded harness result
