@@ -109,17 +109,13 @@ unoptimizedConfig(int num_queues, int host_socket,
     return cfg;
 }
 
-CcNic::Queue::Queue(sim::Simulator &sim, mem::CoherentSystem &m,
-                    const CcNicConfig &cfg, int host_socket,
-                    int nic_socket, WirePort &port)
+CcNic::Queue::Queue(mem::CoherentSystem &m, const CcNicConfig &cfg,
+                    int host_socket, int nic_socket)
     : hostAgent(m.addAgent(host_socket)),
       nicAgent(m.addAgent(nic_socket)),
       tx(m, host_socket, cfg),
       rx(m, cfg.nicHomedRx ? nic_socket : host_socket, cfg),
-      txShadow(cfg.ringEntries, nullptr),
-      rxInput(port.rxInput),
-      coreLock(sim, 1),
-      wireDrained(port.drained)
+      txShadow(cfg.ringEntries, nullptr)
 {
     // Register lines follow both rings in simulated memory.
     tx.tail = driver::RegisterLine(m, host_socket);
@@ -144,11 +140,9 @@ CcNic::CcNic(sim::Simulator &sim, mem::CoherentSystem &mem_system,
     : NicInterface(sim, mem_system,
                    {.prefix = "ccnic",
                     .numQueues = config.numQueues,
-                    .beatPeriod = config.beatPeriod,
-                    .resetLat = config.resetLat,
                     .reinitLat = mem_system.config().cycles(
                         config.nicCosts.perLoop * 8),
-                    .wireLat = config.wireLat,
+                    .engineBatch = kNicBatch,
                     .loopback = config.loopback}),
       cfg_(config)
 {
@@ -156,16 +150,14 @@ CcNic::CcNic(sim::Simulator &sim, mem::CoherentSystem &mem_system,
     // Ring index arithmetic masks with entries-1, so normalize a
     // non-power-of-two request before sizing rings and shadows.
     cfg_.ringEntries = driver::DescRing::roundUpPow2(cfg_.ringEntries);
-    // Keep NIC batches group-aligned so clears land on line boundaries.
-    cfg_.nicBatch = std::max(4, (cfg_.nicBatch / 4) * 4);
     // Clamp the publish-batch target well under the ring size so a
     // staged (unpublished, hence not `ready`) region can never be
     // lapped and overwritten by the producer's own full-ring check.
     cfg_.batch.clampTo(cfg_.ringEntries / 4);
     pool_ = std::make_unique<driver::Mempool>(mem_, cfg_.pool, rng);
     for (int q = 0; q < cfg_.numQueues; ++q) {
-        queues_.push_back(std::make_unique<Queue>(
-            sim_, mem_, cfg_, host_socket, nic_socket, port(q)));
+        queues_.push_back(
+            std::make_unique<Queue>(mem_, cfg_, host_socket, nic_socket));
         queues_.back()->sigReads =
             &signalReadsQ_.at(static_cast<std::uint64_t>(q));
         queues_.back()->txPending.setPolicy(cfg_.batch);
@@ -270,16 +262,6 @@ CcNic::health(int q) const
     return h;
 }
 
-sim::Coro<void>
-CcNic::drainEngines()
-{
-    for (auto &qp : queues_) {
-        co_await qp->coreLock.acquire();
-        qp->coreLock.release();
-    }
-    co_return;
-}
-
 std::vector<PacketBuf *>
 CcNic::reclaimSlots(int q)
 {
@@ -315,7 +297,7 @@ CcNic::reclaimSlots(int q)
         b = nullptr;
     }
     // Drop wire-side packets queued into the dead device.
-    queue.rxInput.clear();
+    port(q).rxInput.clear();
     return held;
 }
 
@@ -781,10 +763,7 @@ CcNic::idleWait(int q, Tick deadline)
     // Bounded like every engine wait: reset() rewinds rx.cons to slot
     // 0 and restarts delivery there, so a waiter parked on the old
     // consumer line would otherwise sleep through the whole recovery.
-    co_await mem_.waitLineChangeUntil(
-        watch, mem_.lineVersion(watch),
-        std::min(deadline, sim_.now() + cfg_.beatPeriod));
-    co_return;
+    return parkOnLine(watch, deadline);
 }
 
 sim::Task
@@ -795,22 +774,18 @@ CcNic::nicTxTask(int q)
     const auto &costs = cfg_.nicCosts;
 
     for (;;) {
-        // Park while wedged or not Running; reinit()/unwedge() wake us.
-        while (wedged_ || devState_ != DevState::Running)
-            co_await runGate_.wait();
+        co_await parkWhileDown();
 
-        // Wait for work. Waits are bounded by beatPeriod so a
-        // lifecycle transition is observed promptly even when the host
-        // has gone quiet.
+        // Wait for work. Line parks are bounded, so a lifecycle
+        // transition is observed promptly even when the host has gone
+        // quiet.
         if (cfg_.signal == SignalMode::Inline) {
             const Addr line = tx.ring.lineOf(tx.cons);
             noteSignalRead(queue, line);
             co_await mem_.load(queue.nicAgent, line, mem::kLineBytes);
             auto &head = tx.ring.slot(tx.cons);
             if (!head.ready || head.meta == kConsumed) {
-                co_await mem_.waitLineChangeUntil(
-                    line, mem_.lineVersion(line),
-                    sim_.now() + cfg_.beatPeriod);
+                co_await parkOnLine(line);
                 continue;
             }
         } else if (static_cast<std::uint32_t>(tx.tailCache) == tx.cons) {
@@ -819,41 +794,21 @@ CcNic::nicTxTask(int q)
             co_await mem_.load(queue.nicAgent, line, 8);
             tx.tailCache = tx.tail.value();
             if (static_cast<std::uint32_t>(tx.tailCache) == tx.cons) {
-                co_await mem_.waitLineChangeUntil(
-                    line, mem_.lineVersion(line),
-                    sim_.now() + cfg_.beatPeriod);
+                co_await parkOnLine(line);
                 continue;
             }
         }
 
-        // Internal flow control: the device does not pull more TX work
-        // while its RX side is backlogged (hardware NICs apply the
-        // same internal buffering limits).
-        while (cfg_.loopback &&
-               queue.rxInput.size() >=
-                   static_cast<std::size_t>(cfg_.nicBatch) * 2) {
-            co_await queue.wireDrained.wait();
-        }
-        if (wedged_ || devState_ != DevState::Running)
+        if (!co_await takeTxCore(q))
             continue;
-
-        co_await queue.coreLock.acquire();
-        if (wedged_ || devState_ != DevState::Running) {
-            // Lost the race against a lifecycle transition after
-            // deciding to work; never start a batch on a dead device.
-            queue.coreLock.release();
-            continue;
-        }
 
         // Integrity filter on the head descriptor line before
         // trusting its content (poison retried, stale re-polled).
         {
             const Addr head_line = tx.ring.lineOf(tx.cons);
             if (!co_await consumeGuard(head_line, mem::kLineBytes)) {
-                queue.coreLock.release();
-                co_await mem_.waitLineChangeUntil(
-                    head_line, mem_.lineVersion(head_line),
-                    sim_.now() + cfg_.beatPeriod);
+                releaseCore(q);
+                co_await parkOnLine(head_line);
                 continue;
             }
         }
@@ -861,10 +816,9 @@ CcNic::nicTxTask(int q)
         // Gather a batch of submitted descriptors.
         std::vector<Taken> batch;
         std::vector<mem::CoherentSystem::Span> desc_spans;
-        const std::uint32_t idx =
-            consume(tx, cfg_.nicBatch, batch, desc_spans);
+        const std::uint32_t idx = consume(tx, kNicBatch, batch, desc_spans);
         if (batch.empty()) {
-            queue.coreLock.release();
+            releaseCore(q);
             continue;
         }
 
@@ -938,7 +892,7 @@ CcNic::nicTxTask(int q)
                                           q);
         }
 
-        queue.coreLock.release();
+        releaseCore(q);
     }
 }
 
@@ -951,26 +905,10 @@ CcNic::nicRxTask(int q)
     const std::uint32_t per_line = rx.ring.perLine();
 
     for (;;) {
-        while (wedged_ || devState_ != DevState::Running)
-            co_await runGate_.wait();
-        WirePacket first = co_await queue.rxInput.get();
-        // Hold the packet across a lifecycle transition: one stale
-        // delivery after a reset is harmless (transport dedups), but
-        // processing on a dead device is not.
-        for (;;) {
-            while (wedged_ || devState_ != DevState::Running)
-                co_await runGate_.wait();
-            co_await queue.coreLock.acquire();
-            if (!wedged_ && devState_ == DevState::Running)
-                break;
-            queue.coreLock.release();
-        }
-
-        std::vector<WirePacket> batch{first};
-        while (static_cast<int>(batch.size()) < cfg_.nicBatch &&
-               !queue.rxInput.empty()) {
-            batch.push_back(co_await queue.rxInput.get());
-        }
+        co_await parkWhileDown();
+        WirePacket first = co_await port(q).rxInput.get();
+        co_await takeRxCore(q);
+        std::vector<WirePacket> batch = gatherWire(q, std::move(first));
 
         // The buffer each packet lands in (null: it found none).
         std::vector<PacketBuf *> out(batch.size(), nullptr);
@@ -1004,7 +942,7 @@ CcNic::nicRxTask(int q)
 
             // Wait for ring space if the host is behind. Waits are
             // bounded so a quiesce (host no longer clearing the ring)
-            // cannot park this engine forever inside the core lock:
+            // cannot park this engine forever while it holds the core:
             // once the device leaves Running, abandon the batch.
             while (true) {
                 if (devState_ != DevState::Running) {
@@ -1020,10 +958,7 @@ CcNic::nicRxTask(int q)
                 if (cfg_.signal == SignalMode::Inline) {
                     if (!rx.ring.slot(last_slot).ready)
                         break;
-                    const Addr line = rx.ring.lineOf(last_slot);
-                    co_await mem_.waitLineChangeUntil(
-                        line, mem_.lineVersion(line),
-                        sim_.now() + cfg_.beatPeriod);
+                    co_await parkOnLine(rx.ring.lineOf(last_slot));
                     continue;
                 }
                 auto space = [&] {
@@ -1037,11 +972,8 @@ CcNic::nicRxTask(int q)
                 noteSignalRead(queue, line);
                 co_await mem_.load(queue.nicAgent, line, 8);
                 rx.headCache = rx.head.value();
-                if (space() < needed) {
-                    co_await mem_.waitLineChangeUntil(
-                        line, mem_.lineVersion(line),
-                        sim_.now() + cfg_.beatPeriod);
-                }
+                if (space() < needed)
+                    co_await parkOnLine(line);
             }
             if (abandoned) {
                 // Return the batch's buffers; the packets are dropped
@@ -1060,8 +992,8 @@ CcNic::nicRxTask(int q)
         } else {
             // Host-posted buffers (PCIe-style): wait for blanks in
             // order. Bounded waits, as above: a host that stopped
-            // posting (quiesce) must not park this engine inside the
-            // core lock.
+            // posting (quiesce) must not park this engine while it holds
+            // the core.
             std::uint32_t post_idx = rx.prod;
             for (std::size_t i = 0; i < batch.size() && !abandoned; ++i) {
                 while (rx.ring.slot(post_idx).meta != kRxPosted) {
@@ -1075,9 +1007,7 @@ CcNic::nicRxTask(int q)
                                        mem::kLineBytes);
                     if (rx.ring.slot(post_idx).meta == kRxPosted)
                         break;
-                    co_await mem_.waitLineChangeUntil(
-                        line, mem_.lineVersion(line),
-                        sim_.now() + cfg_.beatPeriod);
+                    co_await parkOnLine(line);
                 }
                 if (!abandoned)
                     out[i] = rx.ring.slot(post_idx++).buf;
@@ -1086,7 +1016,7 @@ CcNic::nicRxTask(int q)
             // blanks stay in the ring (reset() reclaims them).
         }
         if (abandoned) {
-            queue.coreLock.release();
+            releaseCore(q);
             continue;
         }
 
@@ -1125,7 +1055,7 @@ CcNic::nicRxTask(int q)
             q, queue.rxDevPending,
             queue.rxDevPending.full() ? FlushReason::Full
                                       : FlushReason::Idle,
-            static_cast<std::uint32_t>(queue.rxInput.size()));
+            static_cast<std::uint32_t>(port(q).rxInput.size()));
         const bool completion = !cfg_.nicBufferMgmt;
         auto fill = [wires = std::move(wires), completion](
                         std::size_t k, const driver::PublishBatch::Entry &e,
@@ -1147,11 +1077,7 @@ CcNic::nicRxTask(int q)
                                   per_line));
         }
 
-        queue.coreLock.release();
-        if (queue.rxInput.size() <
-            static_cast<std::size_t>(cfg_.nicBatch) * 2) {
-            queue.wireDrained.notifyAll();
-        }
+        endRxBatch(q);
     }
 }
 

@@ -36,7 +36,6 @@
 #include "obs/trace.hh"
 #include "sim/random.hh"
 #include "sim/simulator.hh"
-#include "sim/sync.hh"
 
 namespace ccn::ccnic {
 
@@ -44,6 +43,12 @@ namespace ccn::ccnic {
 /// hooks; these names are kept for code written against ccnic::.
 using driver::WirePacket;
 using driver::wireFcs;
+
+/// NIC-side processing burst. Group-aligned, so the NIC's line clears
+/// land on line boundaries.
+constexpr int kNicBatch = 32;
+static_assert(kNicBatch >= 4 && kNicBatch % 4 == 0,
+              "NIC batches must cover whole four-descriptor groups");
 
 /** Full configuration of a CC-NIC instance. */
 struct CcNicConfig
@@ -67,8 +72,6 @@ struct CcNicConfig
     driver::CpuCosts hostCosts{};
     driver::CpuCosts nicCosts{};
 
-    int nicBatch = 32;        ///< NIC-side processing burst.
-
     /// Batched signal publication (Fig 16): host TX descriptors are
     /// staged in software (write-combining, no coherence traffic) and
     /// published — contents, ready flags, and signal — as one posted
@@ -82,16 +85,7 @@ struct CcNicConfig
     /// E810's per-descriptor hardware handling, serializing each
     /// packet's descriptor-then-payload chain.
     bool nicPipelined = true;
-    sim::Tick wireLat = 0;    ///< Loopback wire latency.
     bool loopback = true;     ///< TX loops back to the same queue's RX.
-
-    /// Device heartbeat publish period (inlined liveness signal); also
-    /// bounds how long NIC engines park on a signal line before
-    /// re-checking lifecycle state.
-    sim::Tick beatPeriod = sim::fromUs(2.0);
-
-    /// Flat device-reset latency (ring teardown + engine restart).
-    sim::Tick resetLat = sim::fromUs(5.0);
 
     /// Path label this NIC's lifecycle spans are recorded under in
     /// obs::SpanTable (keeps CC-NIC and unoptimized-UPI breakdowns
@@ -205,9 +199,8 @@ class CcNic : public driver::NicInterface
 
     struct Queue
     {
-        Queue(sim::Simulator &sim, mem::CoherentSystem &m,
-              const CcNicConfig &cfg, int host_socket, int nic_socket,
-              WirePort &port);
+        Queue(mem::CoherentSystem &m, const CcNicConfig &cfg,
+              int host_socket, int nic_socket);
 
         mem::AgentId hostAgent;
         mem::AgentId nicAgent;
@@ -222,10 +215,6 @@ class CcNic : public driver::NicInterface
         std::uint32_t txFreeScan = 0;
         std::uint32_t rxPostProd = 0;
         std::vector<driver::PacketBuf *> txShadow;
-
-        sim::Mailbox<WirePacket> &rxInput; ///< Wire port input.
-        sim::Semaphore coreLock; ///< One NIC core serves both tasks.
-        sim::Gate &wireDrained;  ///< RX engine drained below cap.
 
         // Monotonic progress counters (survive resets); the Watchdog
         // samples these through health() for stall detection.
@@ -253,9 +242,6 @@ class CcNic : public driver::NicInterface
     mem::AgentId deviceAgent(int q) const override { return nicAgent(q); }
     std::vector<driver::PacketBuf *> reclaimSlots(int q) override;
     void rewindQueue(int q) override;
-    /** Sweep each queue's core lock: once it can be taken, no NIC
-     *  engine is mid-batch on that queue. */
-    sim::Coro<void> drainEngines() override;
     /**
      * Ring/signal/heartbeat ranges register under
      * "<regionTag>.tx_ring[qN]"-style names.

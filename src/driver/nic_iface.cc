@@ -159,19 +159,8 @@ NicInterface::deliverTx(int q, const WirePacket &pkt)
         txSink_(q, out);
         return;
     }
-    sim::Mailbox<WirePacket> *in = &port(q).rxInput;
-    if (spec_.wireLat == 0) {
-        out.span.stamp(obs::SpanStage::LinkDeliver, sim_.now());
-        in->put(out);
-    } else {
-        sim_.scheduleCallback(sim_.now() + spec_.wireLat,
-                              [in, out, simp = &sim_]() mutable {
-                                  out.span.stamp(
-                                      obs::SpanStage::LinkDeliver,
-                                      simp->now());
-                                  in->put(out);
-                              });
-    }
+    out.span.stamp(obs::SpanStage::LinkDeliver, sim_.now());
+    port(q).rxInput.put(out);
 }
 
 void
@@ -198,11 +187,107 @@ NicInterface::consumeGuard(mem::Addr line, std::uint32_t bytes)
     co_return co_await integrity_.guardRange(line, bytes);
 }
 
+NicInterface::EngineWait
+NicInterface::parkWhileDown()
+{
+    return engineUp() ? EngineWait() : EngineWait(parkLoop());
+}
+
+sim::Coro<bool>
+NicInterface::parkLoop()
+{
+    while (!engineUp())
+        co_await runGate_.wait();
+    co_return true;
+}
+
+sim::Coro<void>
+NicInterface::parkOnLine(mem::Addr line, sim::Tick deadline)
+{
+    return mem_.waitLineChangeUntil(
+        line, mem_.lineVersion(line),
+        std::min(deadline, sim_.now() + kBeatPeriod));
+}
+
+NicInterface::EngineWait
+NicInterface::takeTxCore(int q)
+{
+    WirePort &p = port(q);
+    if (!rxBacklogged(p) && engineUp() && p.core.tryAcquire())
+        return {};
+    return EngineWait(takeTxCoreWait(q));
+}
+
+sim::Coro<bool>
+NicInterface::takeTxCoreWait(int q)
+{
+    WirePort &p = port(q);
+    while (rxBacklogged(p))
+        co_await p.drained.wait();
+    if (!engineUp())
+        co_return false;
+    co_await p.core.acquire();
+    if (engineUp())
+        co_return true;
+    p.core.release(); // Lost the race against a lifecycle transition.
+    co_return false;
+}
+
+NicInterface::EngineWait
+NicInterface::takeRxCore(int q)
+{
+    if (engineUp() && port(q).core.tryAcquire())
+        return {};
+    return EngineWait(takeRxCoreWait(q));
+}
+
+sim::Coro<bool>
+NicInterface::takeRxCoreWait(int q)
+{
+    WirePort &p = port(q);
+    for (;;) {
+        while (!engineUp())
+            co_await runGate_.wait();
+        co_await p.core.acquire();
+        if (engineUp())
+            co_return true;
+        p.core.release();
+    }
+}
+
+std::vector<WirePacket>
+NicInterface::gatherWire(int q, WirePacket first)
+{
+    sim::Mailbox<WirePacket> &in = port(q).rxInput;
+    std::vector<WirePacket> batch{std::move(first)};
+    while (batch.size() < spec_.engineBatch && !in.empty())
+        batch.push_back(in.pop());
+    return batch;
+}
+
+void
+NicInterface::endRxBatch(int q)
+{
+    WirePort &p = port(q);
+    p.core.release();
+    if (!rxBacklogged(p))
+        p.drained.notifyAll();
+}
+
+sim::Coro<void>
+NicInterface::drainEngines()
+{
+    for (WirePort &p : ports_) {
+        co_await p.core.acquire();
+        p.core.release();
+    }
+}
+
 sim::Task
 NicInterface::heartbeatTask()
 {
     for (;;) {
-        co_await sim_.delay(spec_.beatPeriod);
+        co_await sim_.delay(kBeatPeriod);
         // A wedged or down device goes silent: that silence is the
         // Watchdog's failure signal, so do not bump the line.
         if (wedged_ || devState_ != DevState::Running)
@@ -268,7 +353,7 @@ sim::Coro<void>
 NicInterface::reset()
 {
     assert(devState_ == DevState::Down);
-    co_await sim_.delay(spec_.resetLat);
+    co_await sim_.delay(kResetLat);
 
     std::uint64_t reclaimed = 0;
     for (int q = 0; q < numQueues(); ++q) {

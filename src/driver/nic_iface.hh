@@ -14,15 +14,19 @@
  * the heartbeat, the buffer pool, the wire hooks, datapath integrity
  * and profiler-region teardown. It also owns batched publication's
  * bookkeeping: the flush counters and the one flush timer that bounds
- * how long a host-side batch may hold a packet back. A family supplies
- * its datapath plus the hooks in the protected section (engine spawn
- * and drain, the per-queue reclaim sweep, its profiler regions, queue
- * health, its timed batch and that batch's flush).
+ * how long a host-side batch may hold a packet back, and the device
+ * engines' scaffold: each queue's one device core, the park while the
+ * device is down, the bounded line park, the wire-batch gather and
+ * the RX-backlog flow control. A family supplies its datapath steps
+ * plus the hooks in the protected section (engine spawn, the
+ * per-queue reclaim sweep, its profiler regions, queue health, its
+ * timed batch and that batch's flush).
  */
 
 #ifndef CCN_DRIVER_NIC_IFACE_HH
 #define CCN_DRIVER_NIC_IFACE_HH
 
+#include <coroutine>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -44,6 +48,14 @@
 #include "sim/time.hh"
 
 namespace ccn::driver {
+
+/// Device heartbeat period. It also bounds every line park of the
+/// device engines and of idleWait(), so a lifecycle change is seen
+/// within one beat.
+inline constexpr sim::Tick kBeatPeriod = sim::fromUs(2.0);
+
+/// Flat device-reset latency charged by NicInterface::reset().
+inline constexpr sim::Tick kResetLat = sim::fromUs(5.0);
 
 /**
  * Host CPU cost model for driver software (cycles). These represent
@@ -94,14 +106,11 @@ class NicInterface
         /// Counter and tracepoint prefix ("ccnic", "pio", "pcie_nic").
         std::string prefix;
         int numQueues = 1;
-        /// Device heartbeat publish period.
-        sim::Tick beatPeriod = 0;
-        /// Flat device-reset latency charged by reset().
-        sim::Tick resetLat = 0;
         /// Engine restart latency charged by reinit().
         sim::Tick reinitLat = 0;
-        /// Loopback wire latency (0 delivers in the same tick).
-        sim::Tick wireLat = 0;
+        /// Packets one RX engine pass takes from the wire input. With
+        /// loopback on, a TX engine waits while twice this many wait.
+        std::uint32_t engineBatch = 1;
         /// TX loops back to the same queue's RX even with a sink set.
         bool loopback = true;
         /// The device agent beats by a coherent store, counted in
@@ -264,6 +273,9 @@ class NicInterface
     /** RX packets discarded on FCS mismatch (corrupted on the wire). */
     std::uint64_t rxCrcDrops() const { return rxCrcDrops_; }
 
+    /** Packets waiting in queue @p q's wire input for its RX engine. */
+    std::size_t wireBacklog(int q) const { return ports_.at(q).rxInput.size(); }
+
     /** Coalesced publish, doorbell or credit flushes performed. */
     std::uint64_t batchFlushes() const { return batchFlushTotal_; }
 
@@ -351,9 +363,11 @@ class NicInterface
 
     /**
      * Last step of quiesce(), once host bursts have drained: wait
-     * until no device engine is mid-batch.
+     * until no device engine is mid-batch. The default sweeps every
+     * queue's device core: once it can be taken, neither engine of
+     * that queue is inside a batch.
      */
-    virtual sim::Coro<void> drainEngines() = 0;
+    virtual sim::Coro<void> drainEngines();
 
     /**
      * Register the family's rings, signal lines and beat lines with
@@ -399,18 +413,82 @@ class NicInterface
         return mem_.config().cycles(n);
     }
 
-    /** Per-queue wire attachment: the device's RX input. */
+    /** Per-queue wire attachment: the device's RX input and core. */
     struct WirePort
     {
-        explicit WirePort(sim::Simulator &sim) : rxInput(sim), drained(sim)
+        explicit WirePort(sim::Simulator &sim)
+            : rxInput(sim), drained(sim), core(sim, 1)
         {}
 
         sim::Mailbox<WirePacket> rxInput;
         /// RX engine drained below its input cap (flow control).
         sim::Gate drained;
+        /// The queue's one device core: its TX and RX engines take
+        /// turns on it (the software NIC of §4).
+        sim::Semaphore core;
     };
 
     WirePort &port(int q) { return ports_[static_cast<std::size_t>(q)]; }
+
+    /**
+     * Awaitable of a scaffold wait: done at once in the common case
+     * (device up, core free, RX input under its cap), so a batch pays
+     * no coroutine frame; otherwise it runs the waiting coroutine.
+     * co_await yields whether the wait succeeded.
+     */
+    class EngineWait
+    {
+      public:
+        EngineWait() = default;
+        explicit EngineWait(sim::Coro<bool> wait) : wait_(std::move(wait))
+        {}
+        bool await_ready() const noexcept { return !wait_; }
+        std::coroutine_handle<>
+        await_suspend(std::coroutine_handle<> h) noexcept
+        {
+            return wait_->await_suspend(h);
+        }
+        bool await_resume() { return !wait_ || wait_->await_resume(); }
+
+      private:
+        std::optional<sim::Coro<bool>> wait_;
+    };
+
+    /// @name Device-engine scaffold, called around a family's datapath.
+    /// @{
+    bool engineUp() const { return !wedged_ && devState_ == DevState::Running; }
+
+    /** Park until engineUp(); reinit() and unwedge() wake the engine. */
+    EngineWait parkWhileDown();
+
+    /** Park until @p line changes, for one beat at most (so a lifecycle
+     *  change is seen) and never past @p deadline. */
+    sim::Coro<void> parkOnLine(mem::Addr line,
+                               sim::Tick deadline = sim::kTickMax);
+
+    /**
+     * TX form of taking queue @p q's core: first wait while a loopback
+     * wire input holds two engine batches (no TX work is pulled while
+     * RX is backlogged). Yields false, core not held, if the device
+     * left service meanwhile: the engine re-polls.
+     */
+    EngineWait takeTxCore(int q);
+
+    /** RX form: the engine holds its first packet and retries until the
+     *  device is up and the core its own. One stale delivery after a
+     *  reset is harmless (transport dedups); a dead device's is not. */
+    EngineWait takeRxCore(int q);
+
+    /** @p first plus what queue @p q's wire input holds, up to
+     *  engineBatch packets. */
+    std::vector<WirePacket> gatherWire(int q, WirePacket first);
+
+    void releaseCore(int q) { port(q).core.release(); }
+
+    /** releaseCore(), then wake a TX engine held by flow control once
+     *  the wire input is under its cap. */
+    void endRxBatch(int q);
+    /// @}
 
     sim::Simulator &sim_;
     mem::CoherentSystem &mem_;
@@ -431,6 +509,18 @@ class NicInterface
     std::vector<obs::RegionId> profRegions_;
 
   private:
+    /** Flow control: a loopback wire input holds two engine batches. */
+    bool
+    rxBacklogged(const WirePort &p) const
+    {
+        return spec_.loopback && p.rxInput.size() >= 2 * spec_.engineBatch;
+    }
+
+    /// The waiting halves of the scaffold's EngineWaits.
+    sim::Coro<bool> parkLoop();
+    sim::Coro<bool> takeTxCoreWait(int q);
+    sim::Coro<bool> takeRxCoreWait(int q);
+
     sim::Task heartbeatTask();
     /** Publishes queue @p q's timed batch once it has waited out the
      *  policy's flushTimeout. */

@@ -24,6 +24,9 @@ constexpr std::uint32_t kRingEntries = 1024;
 static_assert((kRingEntries & (kRingEntries - 1)) == 0,
               "PCIe NIC ring size must be a power of two");
 
+/// Descriptors fetched per DMA read, and packets per RX engine pass.
+constexpr std::uint32_t kDescFetchBatch = 32;
+
 } // namespace
 
 NicParams
@@ -36,7 +39,6 @@ e810Params()
     p.pipelinePps = 210e6;
     p.pipelineLat = sim::fromNs(260.0);
     p.inlineDoorbellDesc = false;
-    p.descFetchBatch = 32;
     p.perPacketLat = sim::fromNs(4.0);
     p.pcie.wcPartialFlushLat = sim::fromNs(480.0);
     return p;
@@ -54,7 +56,6 @@ cx6Params()
     p.pipelinePps = 80e6;
     p.pipelineLat = sim::fromNs(170.0);
     p.inlineDoorbellDesc = true;
-    p.descFetchBatch = 32;
     p.perPacketLat = sim::fromNs(10.0);
     p.pcie.devProcLat = sim::fromNs(60.0);
     p.pcie.hostToDevLat = sim::fromNs(385.0);
@@ -86,15 +87,13 @@ pcieDriverCosts(const mem::PlatformConfig &plat)
 } // namespace
 
 PcieNic::Queue::Queue(sim::Simulator &sim, mem::CoherentSystem &m,
-                      int host_socket, pcie::PcieLink &link,
-                      WirePort &port)
+                      int host_socket, pcie::PcieLink &link)
     : hostAgent(m.addAgent(host_socket)),
       tx(m, host_socket, kRingEntries, driver::RingLayout::Packed),
       rx(m, host_socket, kRingEntries, driver::RingLayout::Packed),
       txShadow(kRingEntries, nullptr),
       txHeadWb(m.alloc(host_socket, mem::kLineBytes, mem::kLineBytes)),
       doorbells(sim),
-      rxInput(port.rxInput),
       wc(sim, link, pcie::WcTarget::Device)
 {}
 
@@ -104,9 +103,8 @@ PcieNic::PcieNic(sim::Simulator &sim, mem::CoherentSystem &mem_system,
     : NicInterface(sim, mem_system,
                    {.prefix = "pcie_nic",
                     .numQueues = num_queues,
-                    .beatPeriod = params.beatPeriod,
-                    .resetLat = params.resetLat,
                     .reinitLat = sim::fromNs(500.0),
+                    .engineBatch = kDescFetchBatch,
                     // With no sink installed TX still loops back; once
                     // one is, every packet goes to it.
                     .loopback = false,
@@ -138,8 +136,8 @@ PcieNic::PcieNic(sim::Simulator &sim, mem::CoherentSystem &mem_system,
     // doorbells can never cover more work than the ring holds.
     params_.batch.clampTo(kRingEntries / 4);
     for (int q = 0; q < num_queues; ++q) {
-        queues_.push_back(std::make_unique<Queue>(sim_, mem_, host_socket,
-                                                  link_, port(q)));
+        queues_.push_back(
+            std::make_unique<Queue>(sim_, mem_, host_socket, link_));
         queues_.back()->doorbellsQ =
             &doorbellsQ_.at(static_cast<std::uint64_t>(q));
         queues_.back()->dbPending.setPolicy(params_.batch);
@@ -247,7 +245,7 @@ PcieNic::rewindQueue(int q)
     // Function-level reset: in-flight doorbells and DMA completions
     // that landed during the reset window are discarded.
     queue.doorbells.clear();
-    queue.rxInput.clear();
+    port(q).rxInput.clear();
     // Coalesced doorbells reference ring indices that no longer
     // exist; drop them (buffers were reclaimed via txShadow).
     (void)queue.dbPending.discard();
@@ -504,14 +502,10 @@ PcieNic::rxBurst(int q, PacketBuf **bufs, int count)
 sim::Coro<void>
 PcieNic::idleWait(int q, Tick deadline)
 {
-    Queue &queue = *queues_[q];
-    const Addr watch = queue.rx.lineOf(queue.rxCons);
+    const Queue &queue = *queues_[q];
     // Bounded: reset() rewinds rxCons, so an unbounded wait on the old
     // consumer line would sleep through a hot-reset recovery.
-    co_await mem_.waitLineChangeUntil(
-        watch, mem_.lineVersion(watch),
-        std::min(deadline, sim_.now() + params_.beatPeriod));
-    co_return;
+    return parkOnLine(queue.rx.lineOf(queue.rxCons), deadline);
 }
 
 sim::Task
@@ -519,12 +513,11 @@ PcieNic::devTxEngine(int q)
 {
     Queue &queue = *queues_[q];
     for (;;) {
-        while (wedged_ || devState_ != DevState::Running)
-            co_await runGate_.wait();
+        co_await parkWhileDown();
         std::uint32_t tail = co_await queue.doorbells.get();
         while (!queue.doorbells.empty())
             tail = co_await queue.doorbells.get();
-        if (wedged_ || devState_ != DevState::Running)
+        if (!engineUp())
             continue; // Doorbell into a dead device is lost.
         if (tail - queue.devTxCons > kRingEntries)
             continue; // Stale doorbell.
@@ -540,8 +533,7 @@ PcieNic::devTxEngine(int q)
                     queue.devTxTail = t2;
             }
             std::uint32_t n = std::min<std::uint32_t>(
-                static_cast<std::uint32_t>(params_.descFetchBatch),
-                queue.devTxTail - queue.devTxCons);
+                kDescFetchBatch, queue.devTxTail - queue.devTxCons);
 
             // Integrity gate on the descriptor line the fetch starts
             // at: absorb transient poison with bounded retries, back
@@ -595,17 +587,18 @@ PcieNic::devTxEngine(int q)
             }
             co_await link_.dmaReadMulti(spans);
 
-            // ASIC pipeline: rate cap plus fixed traversal.
+            // ASIC pipeline: rate cap plus fixed traversal. A packet in
+            // it is engine work in flight until it reaches the wire.
             for (auto &pkt : pkts) {
                 const Tick done =
                     pipeline_.reserve(1) + params_.pipelineLat +
                     params_.perPacketLat;
-                const int qq = q;
-                PcieNic *self = this;
-                WirePacket p = pkt;
-                sim_.scheduleCallback(done, [self, qq, p] {
-                    self->deliverTx(qq, p);
-                });
+                ++*devOps_;
+                sim_.scheduleCallback(
+                    done, [self = this, q, p = pkt, ops = devOps_] {
+                        --*ops;
+                        self->deliverTx(q, p);
+                    });
             }
             queue.devTxCons += n;
             queue.txCompletedTotal += n;
@@ -625,16 +618,11 @@ PcieNic::devRxEngine(int q)
 {
     Queue &queue = *queues_[q];
     for (;;) {
-        while (wedged_ || devState_ != DevState::Running)
-            co_await runGate_.wait();
-        WirePacket first = co_await queue.rxInput.get();
-        while (wedged_ || devState_ != DevState::Running)
-            co_await runGate_.wait();
+        co_await parkWhileDown();
+        WirePacket first = co_await port(q).rxInput.get();
+        co_await parkWhileDown();
         OpScope busy(devOps_);
-        std::vector<WirePacket> batch{first};
-        while (static_cast<int>(batch.size()) < params_.descFetchBatch &&
-               !queue.rxInput.empty())
-            batch.push_back(co_await queue.rxInput.get());
+        std::vector<WirePacket> batch = gatherWire(q, std::move(first));
 
         // Fetch posted RX descriptors (blank buffer addresses) as
         // needed, in batches.

@@ -50,17 +50,8 @@ struct NicParams
     /// the latency path.
     bool inlineDoorbellDesc = false;
 
-    /// Descriptors fetched per DMA read.
-    int descFetchBatch = 8;
-
     /// Per-packet device processing cost.
     sim::Tick perPacketLat = sim::fromNs(12.0);
-
-    /// Device heartbeat period (DDIO writeback of a liveness line).
-    sim::Tick beatPeriod = sim::fromUs(2.0);
-
-    /// Flat device-reset latency (function-level reset).
-    sim::Tick resetLat = sim::fromUs(5.0);
 
     /// Doorbell coalescing (Fig 16): descriptor stores still land per
     /// burst, but the MMIO tail doorbell is deferred until B
@@ -112,7 +103,7 @@ class PcieNic : public driver::NicInterface
     struct Queue
     {
         Queue(sim::Simulator &sim, mem::CoherentSystem &m,
-              int host_socket, pcie::PcieLink &link, WirePort &port);
+              int host_socket, pcie::PcieLink &link);
 
         mem::AgentId hostAgent;
 
@@ -145,7 +136,6 @@ class PcieNic : public driver::NicInterface
         std::uint64_t txHeadValue = 0;
 
         sim::Mailbox<std::uint32_t> doorbells;
-        sim::Mailbox<WirePacket> &rxInput; ///< Wire port input.
         pcie::WcWindow wc;
 
         // Monotonic progress counters (survive resets).
@@ -165,7 +155,8 @@ class PcieNic : public driver::NicInterface
     mem::AgentId deviceAgent(int q) const override { return hostAgent(q); }
     std::vector<driver::PacketBuf *> reclaimSlots(int q) override;
     void rewindQueue(int q) override;
-    /** Wait out every device engine batch in flight (devOps_). */
+    /** Wait out every device engine batch in flight (devOps_): the
+     *  ASIC's TX and RX engines do not share a core. */
     sim::Coro<void> drainEngines() override;
     /** Rings, head writebacks and beat lines, as "pcie.*" regions. */
     void registerProfRegions() override;

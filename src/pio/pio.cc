@@ -60,16 +60,12 @@ PioNic::SlotArray::SlotArray(mem::CoherentSystem &m, int home_socket,
       credits(cfg.batch)
 {}
 
-PioNic::Queue::Queue(sim::Simulator &sim, mem::CoherentSystem &m,
-                     const Config &cfg, int host_socket, int nic_socket,
-                     WirePort &port)
+PioNic::Queue::Queue(mem::CoherentSystem &m, const Config &cfg,
+                     int host_socket, int nic_socket)
     : hostAgent(m.addAgent(host_socket)),
       nicAgent(m.addAgent(nic_socket)),
       tx(m, host_socket, cfg),
-      rx(m, cfg.deviceHomedRx ? nic_socket : host_socket, cfg),
-      rxInput(port.rxInput),
-      coreLock(sim, 1),
-      wireDrained(port.drained)
+      rx(m, cfg.deviceHomedRx ? nic_socket : host_socket, cfg)
 {}
 
 PioNic::PioNic(sim::Simulator &sim, mem::CoherentSystem &mem_system,
@@ -78,11 +74,9 @@ PioNic::PioNic(sim::Simulator &sim, mem::CoherentSystem &mem_system,
     : NicInterface(sim, mem_system,
                    {.prefix = "pio",
                     .numQueues = config.numQueues,
-                    .beatPeriod = config.beatPeriod,
-                    .resetLat = config.resetLat,
                     .reinitLat = mem_system.config().cycles(
                         config.nicCosts.perLoop * 8),
-                    .wireLat = config.wireLat,
+                    .engineBatch = kNicBatch,
                     .loopback = config.loopback}),
       cfg_(config)
 {
@@ -97,8 +91,8 @@ PioNic::PioNic(sim::Simulator &sim, mem::CoherentSystem &mem_system,
     cfg_.batch.clampTo(cfg_.numSlots / 4);
     pool_ = std::make_unique<driver::Mempool>(mem_, cfg_.pool, rng);
     for (int q = 0; q < cfg_.numQueues; ++q) {
-        queues_.push_back(std::make_unique<Queue>(
-            sim_, mem_, cfg_, host_socket, nic_socket, port(q)));
+        queues_.push_back(
+            std::make_unique<Queue>(mem_, cfg_, host_socket, nic_socket));
         queues_.back()->polls =
             &slotPollsQ_.at(static_cast<std::uint64_t>(q));
     }
@@ -168,16 +162,6 @@ PioNic::health(int q) const
     return h;
 }
 
-sim::Coro<void>
-PioNic::drainEngines()
-{
-    for (auto &qp : queues_) {
-        co_await qp->coreLock.acquire();
-        qp->coreLock.release();
-    }
-    co_return;
-}
-
 std::vector<PacketBuf *>
 PioNic::reclaimSlots(int q)
 {
@@ -194,7 +178,7 @@ PioNic::reclaimSlots(int q)
         }
     }
     // Drop wire-side packets queued into the dead device.
-    queue.rxInput.clear();
+    port(q).rxInput.clear();
     return held;
 }
 
@@ -288,8 +272,7 @@ PioNic::devTxTask(int q)
     const auto &costs = cfg_.nicCosts;
 
     for (;;) {
-        while (wedged_ || devState_ != DevState::Running)
-            co_await runGate_.wait();
+        co_await parkWhileDown();
 
         // Poll the head TX slot: a free local spin until the host's
         // store invalidates our copy, then one (remote) reload.
@@ -301,32 +284,20 @@ PioNic::devTxTask(int q)
         // must not be trusted; park until it heals or the beat expires.
         if (!co_await consumeGuard(line, kSlotBytes) ||
             tx.slot(tx.cons).state != SlotState::Ready) {
-            co_await mem_.waitLineChangeUntil(
-                line, mem_.lineVersion(line),
-                sim_.now() + cfg_.beatPeriod);
+            co_await parkOnLine(line);
             continue;
         }
 
-        // Internal flow control: do not pull TX work while the RX side
-        // is backlogged.
-        while (cfg_.loopback && queue.rxInput.size() >= kNicBatch * 2)
-            co_await queue.wireDrained.wait();
-        if (wedged_ || devState_ != DevState::Running)
+        if (!co_await takeTxCore(q))
             continue;
-
-        co_await queue.coreLock.acquire();
-        if (wedged_ || devState_ != DevState::Running) {
-            queue.coreLock.release();
-            continue;
-        }
 
         // Gather a batch of Ready slots; they are taken once the reads
         // are done (the host sees them as not Free either way, and the
-        // core lock keeps a reset from sweeping them meanwhile).
+        // held core keeps a reset from sweeping them meanwhile).
         std::vector<mem::CoherentSystem::Span> spans;
         std::vector<Msg> batch = gather(tx, kNicBatch, spans);
         if (batch.empty()) {
-            queue.coreLock.release();
+            releaseCore(q);
             continue;
         }
         for (Msg &m : batch)
@@ -389,7 +360,7 @@ PioNic::devTxTask(int q)
                                       q);
         }
 
-        queue.coreLock.release();
+        releaseCore(q);
     }
 }
 
@@ -401,28 +372,14 @@ PioNic::devRxTask(int q)
     const auto &costs = cfg_.nicCosts;
 
     for (;;) {
-        while (wedged_ || devState_ != DevState::Running)
-            co_await runGate_.wait();
-        WirePacket first = co_await queue.rxInput.get();
-        // Hold the packet across a lifecycle transition: one stale
-        // delivery after a reset is harmless, processing on a dead
-        // device is not.
-        for (;;) {
-            while (wedged_ || devState_ != DevState::Running)
-                co_await runGate_.wait();
-            co_await queue.coreLock.acquire();
-            if (!wedged_ && devState_ == DevState::Running)
-                break;
-            queue.coreLock.release();
-        }
-
-        std::vector<WirePacket> batch{first};
-        while (batch.size() < kNicBatch && !queue.rxInput.empty())
-            batch.push_back(co_await queue.rxInput.get());
+        co_await parkWhileDown();
+        WirePacket first = co_await port(q).rxInput.get();
+        co_await takeRxCore(q);
+        std::vector<WirePacket> batch = gatherWire(q, std::move(first));
 
         // Place each message into the next Free RX slot. Waits are
         // bounded so a quiesce (host no longer returning credits)
-        // cannot park this engine inside the core lock.
+        // cannot park this engine while it holds the core.
         std::vector<Msg> placed;
         std::vector<mem::CoherentSystem::Span> spans;
         bool abandoned = false;
@@ -439,9 +396,7 @@ PioNic::devRxTask(int q)
                 co_await devPortDelay();
                 if (rx.slot(idx).state == SlotState::Free)
                     break;
-                co_await mem_.waitLineChangeUntil(
-                    line, mem_.lineVersion(line),
-                    sim_.now() + cfg_.beatPeriod);
+                co_await parkOnLine(line);
             }
             if (abandoned)
                 break;
@@ -487,9 +442,10 @@ PioNic::devRxTask(int q)
             noteSlotWrite(spans.front().addr);
         }
 
-        queue.coreLock.release();
-        if (!abandoned && queue.rxInput.size() < kNicBatch * 2)
-            queue.wireDrained.notifyAll();
+        if (abandoned)
+            releaseCore(q);
+        else
+            endRxBatch(q);
     }
 }
 
@@ -573,7 +529,7 @@ PioNic::rxBurst(int q, PacketBuf **bufs, int count)
     if (!cfg_.batch.enabled() || rx.credits.full()) {
         co_await flushCredits(
             q, rx, FlushReason::Full,
-            static_cast<std::uint32_t>(queue.rxInput.size()));
+            static_cast<std::uint32_t>(port(q).rxInput.size()));
     }
 
     const int n = static_cast<int>(got.size());
@@ -673,15 +629,11 @@ PioNic::flushCredits(int q, SlotArray &a, FlushReason reason,
 sim::Coro<void>
 PioNic::idleWait(int q, Tick deadline)
 {
-    Queue &queue = *queues_[q];
+    const SlotArray &rx = queues_[q]->rx;
     // The host's next RX work lands in its consumer slot; park on that
     // line and let the device's publish invalidation wake us. Bounded:
     // reset() rewinds rx.cons, so a waiter must re-check within a beat.
-    const Addr watch = queue.rx.lineOf(queue.rx.cons);
-    co_await mem_.waitLineChangeUntil(
-        watch, mem_.lineVersion(watch),
-        std::min(deadline, sim_.now() + cfg_.beatPeriod));
-    co_return;
+    return parkOnLine(rx.lineOf(rx.cons), deadline);
 }
 
 } // namespace ccn::pio

@@ -57,7 +57,6 @@
 #include "obs/trace.hh"
 #include "sim/random.hh"
 #include "sim/simulator.hh"
-#include "sim/sync.hh"
 
 namespace ccn::pio {
 
@@ -111,15 +110,7 @@ struct Config
     /// symmetric CPU interconnect. 0 under the UPI preset.
     sim::Tick devExtraLat = 0;
 
-    sim::Tick wireLat = 0; ///< Loopback wire latency.
     bool loopback = true;  ///< TX loops back to the same queue's RX.
-
-    /// Device heartbeat publish period; also bounds how long engines
-    /// park on a slot line before re-checking lifecycle state.
-    sim::Tick beatPeriod = sim::fromUs(2.0);
-
-    /// Flat device-reset latency (slot teardown + engine restart).
-    sim::Tick resetLat = sim::fromUs(5.0);
 
     /// obs::SpanTable path label ("pio" / "pio_cxl").
     std::string spanPath = "pio";
@@ -242,19 +233,14 @@ class PioNic : public driver::NicInterface
 
     struct Queue
     {
-        Queue(sim::Simulator &sim, mem::CoherentSystem &m,
-              const Config &cfg, int host_socket, int nic_socket,
-              WirePort &port);
+        Queue(mem::CoherentSystem &m, const Config &cfg, int host_socket,
+              int nic_socket);
 
         mem::AgentId hostAgent;
         mem::AgentId nicAgent;
 
         SlotArray tx; ///< Host-homed (writer-homed).
         SlotArray rx; ///< Homing per config (the UPI/CXL distinction).
-
-        sim::Mailbox<WirePacket> &rxInput; ///< Wire port input.
-        sim::Semaphore coreLock; ///< One device core serves both tasks.
-        sim::Gate &wireDrained;  ///< RX engine drained below cap.
 
         // Monotonic progress counters (survive resets); the Watchdog
         // samples these through health() for stall detection.
@@ -275,9 +261,6 @@ class PioNic : public driver::NicInterface
     }
     std::vector<driver::PacketBuf *> reclaimSlots(int q) override;
     void rewindQueue(int q) override;
-    /** Sweep each queue's core lock: once it can be taken, no device
-     *  engine is mid-batch on that queue. */
-    sim::Coro<void> drainEngines() override;
     /** Slot arrays and beat lines, as "<spanPath>.*" regions. */
     void registerProfRegions() override;
     driver::PublishBatch &timedBatch(int q) override
@@ -286,10 +269,9 @@ class PioNic : public driver::NicInterface
     }
     sim::Coro<void> flushTimedBatch(int q) override
     {
-        Queue &queue = *queues_[q];
         return flushCredits(
-            q, queue.rx, FlushReason::Timeout,
-            static_cast<std::uint32_t>(queue.rxInput.size()));
+            q, queues_[q]->rx, FlushReason::Timeout,
+            static_cast<std::uint32_t>(port(q).rxInput.size()));
     }
     /// @}
 

@@ -176,6 +176,16 @@ class Semaphore
         return Awaiter{*this};
     }
 
+    /** Take one unit if one is free, without suspending. */
+    bool
+    tryAcquire()
+    {
+        if (count_ == 0)
+            return false;
+        count_--;
+        return true;
+    }
+
     /** Release one unit, waking the oldest waiter if any. */
     void
     release()
@@ -246,6 +256,15 @@ class Mailbox
             }
         };
         return Awaiter{*this};
+    }
+
+    /** Dequeue the oldest item without suspending; must not be empty. */
+    T
+    pop()
+    {
+        T item = std::move(items_.front());
+        items_.pop_front();
+        return item;
     }
 
     bool empty() const { return items_.empty(); }

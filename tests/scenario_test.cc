@@ -546,6 +546,17 @@ counterPrefix(const std::string &key)
     return "ccnic";
 }
 
+/** Reap queue 0 once; every received buffer goes back to the pool. */
+sim::Coro<int>
+reapOnce(driver::NicInterface &nic)
+{
+    driver::PacketBuf *in[32];
+    const int r = co_await nic.rxBurst(0, in, 32);
+    if (r > 0)
+        co_await nic.freeBufs(0, in, r);
+    co_return r;
+}
+
 /**
  * Send @p n packets of @p len bytes on queue 0 of a loopback NIC and
  * reap the RX side until they are all back (or @p patience passes).
@@ -680,6 +691,105 @@ TEST_P(FamilyLifecycle, WedgeResetReinitRestoresService)
     EXPECT_GT(o.beatLater, o.beatAtReinit); // ...and so do beats.
 }
 
+/** Queue 0's progress, tx_packets, the family's signal writes (ring
+ *  signals, slot flips or doorbells) and the pool's free counts: what
+ *  must hold still while the device is down. */
+std::vector<std::uint64_t>
+downState(driver::NicInterface &nic, const std::string &prefix)
+{
+    const obs::Registry &reg = obs::Registry::global();
+    const std::string signal_writes =
+        prefix == "pio"        ? "pio.slot_writes"
+        : prefix == "pcie_nic" ? "pcie_nic.doorbells"
+                               : "ccnic.signal_writes";
+    const driver::QueueHealth h = nic.health(0);
+    const driver::Mempool &pool = nic.pool();
+    return {reg.value(prefix + ".tx_packets"),
+            reg.value(signal_writes),
+            h.txSubmitted,
+            h.txCompleted,
+            h.rxDelivered,
+            h.txOutstanding,
+            h.txHeldInBatch,
+            pool.freeCount(driver::BufClass::Small),
+            pool.freeCount(driver::BufClass::Large),
+            pool.recycledCount(driver::BufClass::Small),
+            pool.recycledCount(driver::BufClass::Large)};
+}
+
+/** What the quiesce task observed, checked by the test body. */
+struct QuiesceObs
+{
+    bool done = false;
+    bool midBatch = false; ///< A TX batch was read when quiesce began.
+    std::vector<std::uint64_t> quiesced; ///< Right after quiesce().
+    std::vector<std::uint64_t> later;    ///< 20 us later.
+    std::vector<std::uint64_t> reset;    ///< Right after reset().
+    std::vector<std::uint64_t> resetLater; ///< 20 us later.
+};
+
+/** Loopback traffic, quiesce() with a TX engine inside its batch. */
+sim::Task
+quiesceMidBatchTask(scenario::World &w, const std::string &prefix,
+                    QuiesceObs *o)
+{
+    driver::NicInterface &nic = *w.nic;
+    (void)co_await reapOnce(nic);
+    co_await w.simv.delay(sim::fromUs(20.0));
+
+    // 1 KB frames are past the PIO inline budget, so every family's
+    // TX engine still has buffers to hand over late in its batch.
+    driver::PacketBuf *bufs[24];
+    const int got = co_await nic.allocBufs(0, 1024, bufs, 24);
+    for (int i = 0; i < got; ++i)
+        bufs[i]->len = 1024;
+    const int sent = co_await nic.txBurst(0, bufs, got);
+    if (sent < got)
+        co_await nic.freeBufs(0, bufs + sent, got - sent);
+
+    // A TX engine counts its batch completed once it has read the
+    // descriptors, before it puts the packets on the wire and frees
+    // their buffers: quiesce at that tick, inside the batch.
+    const std::uint64_t before = nic.health(0).txCompleted;
+    const sim::Tick until = w.simv.now() + sim::fromUs(20.0);
+    while (nic.health(0).txCompleted == before && w.simv.now() < until)
+        co_await w.simv.delay(sim::fromNs(1.0));
+    o->midBatch = nic.health(0).txCompleted != before;
+
+    co_await nic.quiesce();
+    o->quiesced = downState(nic, prefix);
+    co_await w.simv.delay(sim::fromUs(20.0));
+    o->later = downState(nic, prefix);
+    co_await nic.reset();
+    o->reset = downState(nic, prefix);
+    co_await w.simv.delay(sim::fromUs(20.0));
+    o->resetLater = downState(nic, prefix);
+    co_await nic.reinit();
+    o->done = true;
+}
+
+TEST_P(FamilyLifecycle, QuiesceWaitsOutAnEngineMidBatch)
+{
+    const std::string key = GetParam();
+    const std::string prefix = counterPrefix(key);
+    auto w = scenario::worldFactory(key, mem::icxConfig(), 1)();
+    QuiesceObs o;
+    w->simv.spawn(quiesceMidBatchTask(*w, prefix, &o));
+    w->simv.run(sim::fromUs(200.0));
+
+    ASSERT_TRUE(o.done);
+    EXPECT_TRUE(o.midBatch);
+    EXPECT_GT(o.quiesced[0], 0u); // Some packets crossed the device.
+    // Down: no packet leaves, no progress, no buffer moves...
+    EXPECT_EQ(o.later, o.quiesced);
+    // ...reset() returns the reclaimed buffers and rewinds positions
+    // but moves no packet and no progress counter...
+    for (std::size_t i = 0; i < 5; ++i)
+        EXPECT_EQ(o.reset[i], o.quiesced[i]) << "field " << i;
+    // ...and nothing moves again until reinit().
+    EXPECT_EQ(o.resetLater, o.reset);
+}
+
 std::vector<std::string>
 familyKeys()
 {
@@ -712,17 +822,6 @@ struct BatchObs
     std::uint32_t heldInBatch = 1; ///< txHeldInBatch after the drain.
     std::size_t leaks = 1;        ///< auditLeaks() after reset().
 };
-
-/** Reap queue 0 once; every received buffer goes back to the pool. */
-sim::Coro<int>
-reapOnce(driver::NicInterface &nic)
-{
-    driver::PacketBuf *in[32];
-    const int r = co_await nic.rxBurst(0, in, 32);
-    if (r > 0)
-        co_await nic.freeBufs(0, in, r);
-    co_return r;
-}
 
 /**
  * Bursts of uneven size (so grouped lines, batches and credit windows
@@ -805,6 +904,116 @@ INSTANTIATE_TEST_SUITE_P(
     [](const testing::TestParamInfo<BatchCell> &info) {
         return std::get<0>(info.param) + "_batch_" +
                std::get<1>(info.param);
+    });
+
+// ---------------------------------------------------------------------------
+// RX-backlog flow control: with loopback on, a device TX engine pulls
+// no new work while the wire input holds two engine batches.
+
+/** What the flow-control task observed, checked by the test body. */
+struct FlowObs
+{
+    bool done = false;
+    bool stalled = false;        ///< RX side full: TX stopped completing.
+    std::size_t backlog = 0;     ///< Wire input after the injection.
+    std::uint64_t heldGain = 0;  ///< Most TX completions seen while the
+                                 ///< input held >= 2 batches.
+    std::uint64_t finalGain = 0; ///< TX completions once reaping ran.
+};
+
+/** Send 8 loopback packets of 64 B on queue 0. */
+sim::Coro<void>
+sendSome(driver::NicInterface &nic)
+{
+    driver::PacketBuf *bufs[8];
+    const int got = co_await nic.allocBufs(0, 64, bufs, 8);
+    for (int i = 0; i < got; ++i)
+        bufs[i]->len = 64;
+    const int sent = co_await nic.txBurst(0, bufs, got);
+    if (sent < got)
+        co_await nic.freeBufs(0, bufs + sent, got - sent);
+}
+
+sim::Task
+flowControlTask(scenario::World &w, std::size_t batch, FlowObs *o)
+{
+    driver::NicInterface &nic = *w.nic;
+    auto completed = [&nic] { return nic.health(0).txCompleted; };
+    // Host-managed RX (upi_unopt): post blanks once, then never again.
+    (void)co_await reapOnce(nic);
+    co_await w.simv.delay(sim::fromUs(20.0));
+
+    // Loopback traffic with RX never reaped: the RX ring or slot array
+    // fills, and the RX engine waits for room holding the device core.
+    // The TX engine, work pending, stops at the core.
+    std::uint64_t last = completed();
+    sim::Tick quiet_since = w.simv.now();
+    for (int step = 0;
+         step < 400 && w.simv.now() - quiet_since < sim::fromUs(10.0);
+         ++step) {
+        co_await sendSome(nic);
+        co_await w.simv.delay(sim::fromUs(1.0));
+        if (completed() != last) {
+            last = completed();
+            quiet_since = w.simv.now();
+        }
+    }
+    o->stalled = w.simv.now() - quiet_since >= sim::fromUs(10.0);
+
+    // Three engine batches arrive from the wire; the stuck RX engine
+    // cannot take them. (Loopback alone never builds this backlog: an
+    // RX engine waiting for room holds the core the TX engine needs.)
+    for (std::size_t k = 0; k < 3 * batch; ++k) {
+        driver::WirePacket pkt;
+        pkt.len = 64;
+        pkt.flowId = k;
+        pkt.fcs = driver::wireFcs(pkt);
+        nic.injectRx(0, pkt);
+    }
+    o->backlog = nic.wireBacklog(0);
+
+    // Reap slowly. Each reap lets the RX engine place a batch; while
+    // the input still holds two batches the TX engine must pull
+    // nothing, except the one batch already waiting for the core.
+    const std::uint64_t c0 = completed();
+    for (int round = 0; round < 60; ++round) {
+        (void)co_await reapOnce(nic);
+        for (int k = 0; k < 20; ++k) {
+            co_await w.simv.delay(sim::fromNs(50.0));
+            if (nic.wireBacklog(0) >= 2 * batch)
+                o->heldGain = std::max(o->heldGain, completed() - c0);
+        }
+    }
+    o->finalGain = completed() - c0;
+    o->done = true;
+}
+
+class FlowControl : public testing::TestWithParam<std::string>
+{};
+
+TEST_P(FlowControl, TxWaitsWhileRxInputHoldsTwoBatches)
+{
+    const std::string key = GetParam();
+    const std::size_t batch = key.rfind("pio", 0) == 0
+                                  ? std::size_t{pio::kNicBatch}
+                                  : std::size_t{ccnic::kNicBatch};
+    auto w = scenario::worldFactory(key, mem::icxConfig(), 1)();
+    FlowObs o;
+    w->simv.spawn(flowControlTask(*w, batch, &o));
+    w->simv.run(sim::fromUs(600.0));
+
+    ASSERT_TRUE(o.done);
+    EXPECT_TRUE(o.stalled);
+    EXPECT_GE(o.backlog, 3 * batch);
+    EXPECT_LE(o.heldGain, batch);
+    EXPECT_GT(o.finalGain, batch); // Reaping lets TX run again.
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LoopbackFamilies, FlowControl,
+    testing::Values("ccnic", "upi_unopt", "pio", "pio_cxl"),
+    [](const testing::TestParamInfo<std::string> &info) {
+        return info.param;
     });
 
 } // namespace
