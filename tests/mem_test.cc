@@ -9,12 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <vector>
 
 #include "mem/cache.hh"
 #include "mem/coherence.hh"
 #include "mem/platform.hh"
+#include "sim/random.hh"
 #include "sim/simulator.hh"
 #include "sim/task.hh"
 #include "workload/chaos.hh"
@@ -321,10 +323,11 @@ TEST(Coherence, RangeOverlapBeatsSerialAccess)
         // 24 lines (a 1.5KB packet) from remote cache: overlapped
         // fetch must be much faster than 24 serial remote latencies.
         const std::uint32_t n = 24;
-        Addr a = m.alloc(1, n * kLineBytes);
-        co_await m.storeRange(f.writer1, a, n * kLineBytes);
+        const std::vector<CoherentSystem::Span> range{
+            {m.alloc(1, n * kLineBytes), n * kLineBytes}};
+        co_await m.accessMulti(f.writer1, range, true);
         Tick t0 = f.simv.now();
-        co_await m.loadRange(f.reader0, a, n * kLineBytes);
+        co_await m.accessMulti(f.reader0, range, false);
         const double ns = nsBetween(t0, f.simv.now());
         EXPECT_LT(ns, 24 * 171.0 * 0.5);
         EXPECT_GT(ns, 171.0); // But not faster than one access.
@@ -400,16 +403,287 @@ TEST(Coherence, DeterministicReplay)
         MemFixture f(mem::sprConfig());
         auto &m = f.system;
         f.run([&]() -> sim::Coro<void> {
-            Addr a = m.alloc(0, 256 * kLineBytes);
+            const std::vector<CoherentSystem::Span> range{
+                {m.alloc(0, 256 * kLineBytes), 256 * kLineBytes}};
             for (int rep = 0; rep < 3; ++rep) {
-                co_await m.storeRange(f.writer1, a, 256 * kLineBytes);
-                co_await m.loadRange(f.reader0, a, 256 * kLineBytes);
+                co_await m.accessMulti(f.writer1, range, true);
+                co_await m.accessMulti(f.reader0, range, false);
             }
             co_return;
         });
         return f.simv.now();
     };
     EXPECT_EQ(run_once(), run_once());
+}
+
+/** FNV-1a over the bytes of 64-bit words. */
+struct Fnv1a
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+
+    void
+    add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    }
+};
+
+/**
+ * From @p at, wait for @p line to change from the version seen then
+ * (untimed when @p deadline is 0); record the wake tick and version.
+ */
+sim::Task
+waitFrom(CoherentSystem &m, sim::Simulator &simv, Addr line, Tick at,
+         Tick deadline, std::vector<Tick> &out)
+{
+    co_await simv.delayUntil(at);
+    const std::uint32_t v = m.lineVersion(line);
+    if (deadline == 0)
+        co_await m.waitLineChange(line, v);
+    else
+        co_await m.waitLineChangeUntil(line, v, deadline);
+    out.push_back(simv.now());
+    out.push_back(m.lineVersion(line));
+}
+
+/**
+ * Run a fixed then a seeded mixed sequence of demand, range, posted,
+ * NT, flush, DMA, signaling and fault operations on @p cfg, and digest
+ * every completion tick, waiter wake, counter, telemetry value, UPI
+ * byte count and line version.
+ */
+std::uint64_t
+memTimingDigest(const mem::PlatformConfig &cfg)
+{
+    MemFixture f(cfg);
+    auto &m = f.system;
+    auto &simv = f.simv;
+    constexpr std::uint64_t kRegionLines = 256;
+    const Addr local = m.alloc(0, kRegionLines * kLineBytes);
+    const Addr remote = m.alloc(1, kRegionLines * kLineBytes);
+    Fnv1a fnv;
+    std::vector<Tick> async; // Waiter wakes and posted completions.
+    auto posted = [&async, &simv] { async.push_back(simv.now()); };
+    const auto L = [](std::uint64_t n) { return n * kLineBytes; };
+
+    f.run([&]() -> sim::Coro<void> {
+        auto done = [&] { fnv.add(simv.now()); };
+        std::vector<CoherentSystem::Span> spans;
+
+        // Zero-byte inputs, and zero-byte spans among others.
+        co_await m.load(f.reader0, local + 8, 0);
+        done();
+        co_await m.store(f.writer1, local + 72, 0);
+        done();
+        co_await m.ntStoreRange(f.reader0, remote + 4, 0);
+        done();
+        co_await m.flush(f.writer0, local + 8, 0);
+        done();
+        spans = {{local + 100, 0}, {remote + 40, 30}, {local, 0}};
+        co_await m.accessMulti(f.reader0, spans, false);
+        done();
+        spans = {{local + 130, 0}};
+        co_await m.accessMulti(f.writer1, spans, true);
+        done();
+        spans = {{local + 300, 0}, {local + 320, 20}};
+        co_await m.postMulti(f.writer0, spans, posted);
+        done();
+
+        // Wider than the MSHR window.
+        co_await m.load(f.reader0, remote + 10, L(20));
+        done();
+        co_await m.store(f.writer0, remote + L(24), L(20));
+        done();
+
+        // Line-crossing spans; multi-span reads and writes.
+        co_await m.load(f.writer1, local + 60, 8);
+        done();
+        co_await m.store(f.reader0, local + L(2) - 4, 8);
+        done();
+        spans = {{local + 30, 100}, {remote + 200, 700},
+                 {local + 1000, 64}};
+        co_await m.accessMulti(f.reader0, spans, false);
+        done();
+        spans = {{local + 30, 100}, {remote + L(24) + 5, 900}};
+        co_await m.accessMulti(f.writer1, spans, true);
+        done();
+
+        // Posted stores past the store buffer: admission waits.
+        for (std::uint64_t i = 0; i < 4; ++i) {
+            spans = {{local + L(64 + 24 * i), 24 * kLineBytes},
+                     {remote + 8, 16}};
+            co_await m.postMulti(f.writer1, spans, posted);
+            done();
+        }
+
+        // NT stores past their window, both directions.
+        co_await m.ntStoreRange(f.reader0, remote + L(64), L(30));
+        done();
+        co_await m.ntStoreRange(f.writer1, local + L(200) + 7, L(12));
+        done();
+
+        // Pollers woken by a one-range write's publish: two wait on the
+        // gate before it, two arrive after its walk, one times out. The
+        // writer owns pub + L(2), so that line completes long before
+        // the publish.
+        const Addr pub = local + L(170);
+        co_await m.store(f.writer0, pub + L(2), 8);
+        done();
+        const Tick t0 = simv.now();
+        const Tick until = t0 + sim::fromUs(5.0);
+        simv.spawn(waitFrom(m, simv, pub, t0, 0, async));
+        simv.spawn(waitFrom(m, simv, pub + L(3), t0, until, async));
+        simv.spawn(waitFrom(m, simv, pub + L(2), t0 + 2, 0, async));
+        simv.spawn(waitFrom(m, simv, pub + L(5), t0 + 2, until, async));
+        simv.spawn(waitFrom(m, simv, pub + L(9), t0,
+                            t0 + sim::fromNs(300.0), async));
+        co_await simv.delay(1);
+        spans = {{pub, 8 * kLineBytes}};
+        co_await m.accessMulti(f.writer0, spans, true);
+        done();
+
+        // The same for a posted write's publish.
+        co_await m.store(f.writer1, pub + L(22), 8);
+        done();
+        simv.spawn(waitFrom(m, simv, pub + L(22), simv.now() + 2, 0, async));
+        co_await simv.delay(1);
+        spans = {{pub + L(20), 6 * kLineBytes}};
+        co_await m.postMulti(f.writer1, spans, posted);
+        done();
+
+        // A stuck invalidation, followed past its expiry.
+        const Addr stuck = local + L(180);
+        m.injectStuck(stuck, sim::fromUs(2.0));
+        simv.spawn(waitFrom(m, simv, stuck, simv.now(), 0, async));
+        simv.spawn(waitFrom(m, simv, stuck, simv.now(),
+                            simv.now() + sim::fromUs(1.0), async));
+        co_await m.store(f.writer1, stuck, 8);
+        done();
+        fnv.add(m.lineVersion(stuck));
+        fnv.add(m.rangeStale(stuck - 4, 8));
+        co_await simv.delay(sim::fromUs(2.5));
+        fnv.add(m.lineVersion(stuck));
+        fnv.add(m.rangeStale(stuck - 4, 8));
+        co_await m.store(f.writer1, stuck, 8);
+        done();
+
+        // A brownout, followed past its expiry.
+        m.injectBrownout(f.reader0, 3.0, sim::fromUs(2.0));
+        co_await m.load(f.reader0, remote + L(100), L(4));
+        done();
+        spans = {{remote + L(110), 6 * kLineBytes}};
+        co_await m.accessMulti(f.reader0, spans, true);
+        done();
+        co_await simv.delay(sim::fromUs(2.5));
+        co_await m.load(f.reader0, remote + L(120), L(4));
+        done();
+
+        // Poison and torn windows, queried across lines.
+        m.injectPoison(local + L(64), sim::fromNs(500.0));
+        m.injectTorn(local + L(65), sim::fromNs(500.0));
+        fnv.add(m.rangePoisoned(local + L(63) + 10, 100));
+        fnv.add(m.rangeStale(local + L(64) + 60, 8));
+
+        // Device-side DMA reads and DDIO writes.
+        fnv.add(m.dmaRead(0, local + 5, 300, simv.now()));
+        fnv.add(m.dmaRead(1, remote + L(64), 0, simv.now()));
+        fnv.add(m.ddioWrite(0, local + L(170) + 9, 200, simv.now()));
+        fnv.add(m.ddioWrite(1, remote + 3, 0, simv.now()));
+
+        // Seeded mix.
+        sim::Rng rng(0x5eedULL);
+        const std::array<AgentId, 3> agents{f.reader0, f.writer0,
+                                            f.writer1};
+        for (int i = 0; i < 400; ++i) {
+            const AgentId ag = agents[rng.below(3)];
+            const Addr base = rng.below(2) ? remote : local;
+            const Addr addr = base + rng.below(L(200));
+            const std::uint32_t bytes =
+                rng.below(4) == 0
+                    ? 0
+                    : static_cast<std::uint32_t>(rng.below(L(24))) + 1;
+            const Addr other = base + rng.below(L(200));
+            const std::uint32_t other_bytes =
+                static_cast<std::uint32_t>(rng.below(L(2)));
+            spans = {{addr, bytes}, {other, other_bytes}};
+            switch (rng.below(9)) {
+              case 0:
+                co_await m.load(ag, addr, bytes);
+                break;
+              case 1:
+                co_await m.store(ag, addr, bytes);
+                break;
+              case 2:
+                co_await m.accessMulti(ag, spans, false);
+                break;
+              case 3:
+                co_await m.accessMulti(ag, spans, true);
+                break;
+              case 4:
+                co_await m.postMulti(ag, spans, posted);
+                break;
+              case 5:
+                co_await m.ntStoreRange(ag, addr, bytes);
+                break;
+              case 6:
+                co_await m.flush(ag, addr, bytes);
+                break;
+              case 7:
+                co_await m.atomicRmw(ag, addr);
+                break;
+              default:
+                m.touchLine(ag, addr);
+                co_await simv.delay(rng.below(sim::fromNs(200.0)));
+                break;
+            }
+            done();
+        }
+        co_return;
+    });
+
+    for (Tick t : async)
+        fnv.add(t);
+    for (AgentId a = 0; a < m.numAgents(); ++a) {
+        const auto &c = m.counters(a);
+        for (std::uint64_t v :
+             {c.loads, c.stores, c.l2Hits, c.l2Misses, c.llcHits,
+              c.dramReads, c.remoteReads, c.remoteRfos, c.prefetchIssued,
+              c.prefetchRemote})
+            fnv.add(v);
+    }
+    const auto &t = m.telemetry();
+    for (const obs::Counter *c :
+         {&t.remoteReads, &t.remoteRfos, &t.migratoryHandoffs, &t.llcHits,
+          &t.dramReads, &t.invalidations, &t.ddioWrites, &t.poisonInjected,
+          &t.poisonReads, &t.tornInjected, &t.tornStaleReads,
+          &t.stuckInjected, &t.brownouts, &t.brownoutStretchedOps})
+        fnv.add(c->value());
+    fnv.add(m.upiBytesInto(0));
+    fnv.add(m.upiBytesInto(1));
+    for (std::uint64_t i = 0; i < kRegionLines; ++i) {
+        fnv.add(m.lineVersion(local + L(i)));
+        fnv.add(m.lineVersion(remote + L(i)));
+    }
+    fnv.add(simv.now());
+    fnv.add(simv.eventsExecuted());
+    return fnv.h;
+}
+
+/**
+ * Pins the modeled timing of every demand-operation entry point: the
+ * constants were measured before the entry points were folded onto
+ * one line-walk pipeline, and any change to issue windows, zero-byte
+ * rules, publish holds or fault handling moves them.
+ */
+TEST(Coherence, TimingDigestIsPinned)
+{
+    const std::uint64_t icx = memTimingDigest(mem::icxConfig());
+    const std::uint64_t spr = memTimingDigest(mem::sprConfig());
+    EXPECT_EQ(icx, 0x281c0b9011928e75ULL) << std::hex << "icx 0x" << icx;
+    EXPECT_EQ(spr, 0x3096e3ac3efef3eeULL) << std::hex << "spr 0x" << spr;
 }
 
 /**
