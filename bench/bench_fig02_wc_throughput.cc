@@ -63,13 +63,14 @@ wbThroughputGbps(std::uint32_t bytes_per_barrier)
     double gbps = 0;
     bool done = false;
     auto fn = [&]() -> sim::Coro<void> {
-        const std::uint64_t total = 2 * 1024 * 1024;
-        mem::Addr base = system.alloc(0, total);
+        const std::uint32_t total = 2 * 1024 * 1024;
+        const std::vector<mem::CoherentSystem::Span> range{
+            {system.alloc(0, total), total}};
         const sim::Tick t0 = simv.now();
         // WB stores: sfence barriers cost nothing extra (Fig 2's flat
         // line), so throughput is barrier-independent.
         (void)bytes_per_barrier;
-        co_await system.storeRange(a, base, total);
+        co_await system.accessMulti(a, range, true);
         gbps = sim::bytesOverTicksToGbps(
             static_cast<double>(total), simv.now() - t0);
         co_return;

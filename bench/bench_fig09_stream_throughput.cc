@@ -23,13 +23,16 @@ writerTask(mem::CoherentSystem &m, sim::Simulator &simv, mem::AgentId a,
            mem::Addr base, std::uint64_t region, bool caching,
            std::uint64_t *chunks_done, StreamState *st)
 {
-    const std::uint64_t chunk = 32 * 1024;
+    const std::uint32_t chunk = 32 * 1024;
     std::uint64_t off = 0;
     while (simv.now() < st->measureEnd) {
-        if (caching)
-            co_await m.storeRange(a, base + off, chunk);
-        else
+        if (caching) {
+            const std::vector<mem::CoherentSystem::Span> range{
+                {base + off, chunk}};
+            co_await m.accessMulti(a, range, true);
+        } else {
             co_await m.ntStoreRange(a, base + off, chunk);
+        }
         off = (off + chunk) % region;
         (*chunks_done)++;
     }
@@ -40,7 +43,7 @@ readerTask(mem::CoherentSystem &m, sim::Simulator &simv, mem::AgentId a,
            mem::Addr base, std::uint64_t region,
            std::uint64_t *writer_chunks, StreamState *st)
 {
-    const std::uint64_t chunk = 32 * 1024;
+    const std::uint32_t chunk = 32 * 1024;
     std::uint64_t off = 0;
     std::uint64_t consumed = 0;
     while (simv.now() < st->measureEnd) {
@@ -48,7 +51,9 @@ readerTask(mem::CoherentSystem &m, sim::Simulator &simv, mem::AgentId a,
             co_await simv.delay(sim::fromNs(500.0));
             continue;
         }
-        co_await m.loadRange(a, base + off, chunk);
+        const std::vector<mem::CoherentSystem::Span> range{
+            {base + off, chunk}};
+        co_await m.accessMulti(a, range, false);
         off = (off + chunk) % region;
         consumed++;
         st->bytesRead += chunk;

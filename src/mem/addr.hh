@@ -52,6 +52,19 @@ socketBase(int socket)
     return static_cast<Addr>(socket) << kSocketBit;
 }
 
+/**
+ * Call @p fn(line) for each cache line of [addr, addr+bytes). A
+ * zero-byte range covers @p addr's line.
+ */
+template <typename Fn>
+constexpr void
+forEachLine(Addr addr, std::uint64_t bytes, Fn &&fn)
+{
+    const Addr last = lineOf(addr + (bytes ? bytes - 1 : 0));
+    for (Addr l = lineOf(addr); l <= last; l += kLineBytes)
+        fn(l);
+}
+
 /** Number of cache lines covered by [addr, addr+bytes). */
 constexpr std::uint64_t
 linesCovered(Addr addr, std::uint64_t bytes)

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <deque>
 #include <sstream>
 
 #include "obs/trace.hh"
@@ -25,7 +24,9 @@ using sim::Tick;
 
 CoherentSystem::CoherentSystem(sim::Simulator &sim,
                                const PlatformConfig &config)
-    : sim_(sim), cfg_(config)
+    : sim_(sim), cfg_(config),
+      inflight_(static_cast<std::size_t>(
+          std::max({cfg_.mshrsPerCore, 4, cfg_.wcBuffers / 3})))
 {
     prof_.enable(obs::CoherenceProfiler::defaultEnabled());
     for (int s = 0; s < cfg_.sockets; ++s) {
@@ -137,19 +138,13 @@ CoherentSystem::noteWriter(LineDir &d, AgentId a)
 void
 CoherentSystem::bumpVersion(LineDir &d, Addr line, Tick when)
 {
+    d.writeBusyUntil = std::max(d.writeBusyUntil, when);
     d.version++;
-    if (faultsArmed_) {
-        // A stuck invalidation defers the waiter wakeup past the
-        // fault window; pollers meanwhile still observe the held
-        // (stale) version via lineVersion().
-        auto st = stuck_.find(line);
-        if (st != stuck_.end()) {
-            if (st->second.until > when)
-                when = st->second.until;
-            else
-                stuck_.erase(st);
-        }
-    }
+    // A stuck invalidation defers the waiter wakeup past the fault
+    // window; pollers meanwhile still observe the held (stale)
+    // version via lineVersion().
+    if (const StuckFault *st = stuckFault(line, when))
+        when = st->until;
     if (d.gate && d.gate->hasWaiters()) {
         sim::Gate *g = d.gate.get();
         sim_.scheduleCallback(when, [g] { g->notifyAll(); });
@@ -375,7 +370,6 @@ CoherentSystem::walkLineProtocol(AgentId a, Addr line, bool write,
             if (!prefetch) {
                 ag.counters.l2Hits++;
                 noteWriter(d, a);
-                d.writeBusyUntil = std::max(d.writeBusyUntil, hit_done);
                 bumpVersion(d, line, hit_done);
             }
             return hit_done;
@@ -412,7 +406,6 @@ CoherentSystem::walkLineProtocol(AgentId a, Addr line, bool write,
         d.busyUntil = t;
         if (!prefetch) {
             noteWriter(d, a);
-            d.writeBusyUntil = std::max(d.writeBusyUntil, t);
             bumpVersion(d, line, t);
         }
         return t;
@@ -499,7 +492,6 @@ CoherentSystem::walkLineProtocol(AgentId a, Addr line, bool write,
         d.busyUntil = t;
         if (!prefetch) {
             noteWriter(d, a);
-            d.writeBusyUntil = std::max(d.writeBusyUntil, t);
             bumpVersion(d, line, t);
             maybePrefetch(a, line, start);
         }
@@ -645,34 +637,86 @@ CoherentSystem::walkLineProtocol(AgentId a, Addr line, bool write,
     return t;
 }
 
+namespace {
+
+/** The one span of a single-range op: zero bytes still walk a line. */
+CoherentSystem::Span
+rangeSpan(Addr addr, std::uint32_t bytes)
+{
+    return {addr, std::max<std::uint32_t>(bytes, 1)};
+}
+
+/** Call @p fn(line) for each line of the nonempty @p spans. */
+template <typename Fn>
+void
+forEachSpanLine(std::span<const CoherentSystem::Span> spans, Fn &&fn)
+{
+    for (const CoherentSystem::Span &sp : spans) {
+        if (sp.bytes != 0)
+            forEachLine(sp.addr, sp.bytes, fn);
+    }
+}
+
+} // namespace
+
+template <typename Step>
+Tick
+CoherentSystem::issueLines(std::span<const Span> spans,
+                           std::size_t window, Step &&step)
+{
+    // inflight_[k % window] holds the completion of the k-th line
+    // issued: line k issues no earlier than line k - window retires.
+    Tick t = sim_.now();
+    Tick done = t;
+    std::size_t issued = 0;
+    forEachSpanLine(spans, [&](Addr l) {
+        Tick *oldest = nullptr;
+        if (window != kAllAtOnce) {
+            oldest = &inflight_[issued % window];
+            if (issued >= window)
+                t = std::max(t, *oldest);
+        }
+        const Tick c = step(l, t);
+        if (oldest)
+            *oldest = c;
+        ++issued;
+        done = std::max(done, c);
+    });
+    return done;
+}
+
+Tick
+CoherentSystem::demandLines(AgentId a, std::span<const Span> spans,
+                            bool write, std::size_t window)
+{
+    return issueLines(spans, window, [&](Addr l, Tick issue) {
+        return walkLine(a, l, write, issue, false);
+    });
+}
+
+void
+CoherentSystem::holdPublish(std::span<const Span> spans, Tick done)
+{
+    forEachSpanLine(spans, [&](Addr l) {
+        LineDir &d = dirFor(l);
+        d.writeBusyUntil = std::max(d.writeBusyUntil, done);
+    });
+}
+
 sim::Coro<void>
 CoherentSystem::load(AgentId a, Addr addr, std::uint32_t bytes)
 {
     agents_[a].counters.loads++;
-    const Tick start = sim_.now();
-    Tick done = start;
-    const Addr first = lineOf(addr);
-    const Addr last = lineOf(addr + (bytes ? bytes - 1 : 0));
-    for (Addr l = first; l <= last; l += kLineBytes)
-        done = std::max(done, walkLine(a, l, false, start, false));
-    if (done > sim_.now())
-        co_await sim_.delayUntil(done);
-    co_return;
+    const Span one = rangeSpan(addr, bytes);
+    co_await sim_.delayUntil(demandLines(a, {&one, 1}, false, kAllAtOnce));
 }
 
 sim::Coro<void>
 CoherentSystem::store(AgentId a, Addr addr, std::uint32_t bytes)
 {
     agents_[a].counters.stores++;
-    const Tick start = sim_.now();
-    Tick done = start;
-    const Addr first = lineOf(addr);
-    const Addr last = lineOf(addr + (bytes ? bytes - 1 : 0));
-    for (Addr l = first; l <= last; l += kLineBytes)
-        done = std::max(done, walkLine(a, l, true, start, false));
-    if (done > sim_.now())
-        co_await sim_.delayUntil(done);
-    co_return;
+    const Span one = rangeSpan(addr, bytes);
+    co_await sim_.delayUntil(demandLines(a, {&one, 1}, true, kAllAtOnce));
 }
 
 sim::Coro<void>
@@ -690,12 +734,9 @@ CoherentSystem::atomicRmw(AgentId a, Addr addr)
 sim::Coro<void>
 CoherentSystem::flush(AgentId a, Addr addr, std::uint32_t bytes)
 {
-    const Tick start = sim_.now();
-    Tick t = start;
-    const Addr first = lineOf(addr);
-    const Addr last = lineOf(addr + (bytes ? bytes - 1 : 0));
+    Tick t = sim_.now();
     const int s = agents_[a].socket;
-    for (Addr l = first; l <= last; l += kLineBytes) {
+    forEachLine(addr, bytes, [&](Addr l) {
         // CLFLUSHOPT: serialized per-line issue cost (§3.3 notes it is
         // expensive and per-line); dirty data writes back to home.
         t += cfg_.flushLat;
@@ -708,95 +749,21 @@ CoherentSystem::flush(AgentId a, Addr addr, std::uint32_t bytes)
                 wb = linkXfer(h, cfg_.dataMsgBytes, wb);
             dram_[h].reserveAt(wb, kLineBytes);
         }
-    }
+    });
     co_await sim_.delayUntil(t);
     co_return;
 }
 
 sim::Coro<void>
-CoherentSystem::loadRange(AgentId a, Addr addr, std::uint64_t bytes)
+CoherentSystem::ntStoreRange(AgentId a, Addr addr, std::uint32_t bytes)
 {
-    agents_[a].counters.loads++;
-    const Tick start = sim_.now();
-    const std::size_t window =
-        static_cast<std::size_t>(cfg_.mshrsPerCore);
-    std::deque<Tick> inflight;
-    Tick done = start;
-    Tick t = start;
-    const Addr first = lineOf(addr);
-    const Addr last = lineOf(addr + (bytes ? bytes - 1 : 0));
-    for (Addr l = first; l <= last; l += kLineBytes) {
-        Tick issue = t;
-        if (inflight.size() == window) {
-            issue = std::max(t, inflight.front());
-            inflight.pop_front();
-        }
-        const Tick c = walkLine(a, l, false, issue, false);
-        inflight.push_back(c);
-        done = std::max(done, c);
-        t = issue;
-    }
-    if (done > sim_.now())
-        co_await sim_.delayUntil(done);
-    co_return;
-}
-
-sim::Coro<void>
-CoherentSystem::storeRange(AgentId a, Addr addr, std::uint64_t bytes)
-{
-    agents_[a].counters.stores++;
-    const Tick start = sim_.now();
-    const std::size_t window =
-        static_cast<std::size_t>(cfg_.mshrsPerCore);
-    std::deque<Tick> inflight;
-    Tick done = start;
-    Tick t = start;
-    const Addr first = lineOf(addr);
-    const Addr last = lineOf(addr + (bytes ? bytes - 1 : 0));
-    for (Addr l = first; l <= last; l += kLineBytes) {
-        Tick issue = t;
-        if (inflight.size() == window) {
-            issue = std::max(t, inflight.front());
-            inflight.pop_front();
-        }
-        const Tick c = walkLine(a, l, true, issue, false);
-        inflight.push_back(c);
-        done = std::max(done, c);
-        t = issue;
-    }
-    // Logical state is published when the whole range completes;
-    // extend each line's pending-write horizon so pollers woken by an
-    // individual line's completion re-wait until the publish.
-    for (Addr l = first; l <= last; l += kLineBytes) {
-        LineDir &d = dirFor(l);
-        d.writeBusyUntil = std::max(d.writeBusyUntil, done);
-    }
-    if (done > sim_.now())
-        co_await sim_.delayUntil(done);
-    co_return;
-}
-
-sim::Coro<void>
-CoherentSystem::ntStoreRange(AgentId a, Addr addr, std::uint64_t bytes)
-{
-    const Tick start = sim_.now();
     const int s = agents_[a].socket;
     // NT stores drain through the line-fill/WC buffers: concurrency is
     // LFB-limited, well below the regular store-buffer depth.
     const std::size_t window = static_cast<std::size_t>(
         std::max(4, cfg_.wcBuffers / 3));
-    std::deque<Tick> inflight;
-    Tick done = start;
-    Tick t = start;
-    const Addr first = lineOf(addr);
-    const Addr last = lineOf(addr + (bytes ? bytes - 1 : 0));
-    for (Addr l = first; l <= last; l += kLineBytes) {
+    auto nt_store = [&](Addr l, Tick issue) {
         agents_[a].counters.stores++;
-        Tick issue = t;
-        if (inflight.size() == window) {
-            issue = std::max(t, inflight.front());
-            inflight.pop_front();
-        }
         LineDir &d = dirFor(l);
         invalidateCopies(d, l, s, -1);
         l2_[a].erase(l); // NT stores never allocate locally.
@@ -811,15 +778,11 @@ CoherentSystem::ntStoreRange(AgentId a, Addr addr, std::uint64_t bytes)
         }
         c = dram_[home].reserveAt(c, kLineBytes) + cfg_.dramLat / 2;
         d.busyUntil = c;
-        d.writeBusyUntil = std::max(d.writeBusyUntil, c);
         bumpVersion(d, l, c);
-        inflight.push_back(c);
-        done = std::max(done, c);
-        t = issue;
-    }
-    if (done > sim_.now())
-        co_await sim_.delayUntil(done);
-    co_return;
+        return c;
+    };
+    const Span one = rangeSpan(addr, bytes);
+    co_await sim_.delayUntil(issueLines({&one, 1}, window, nt_store));
 }
 
 sim::Coro<void>
@@ -830,45 +793,11 @@ CoherentSystem::accessMulti(AgentId a, const std::vector<Span> &spans,
         agents_[a].counters.stores++;
     else
         agents_[a].counters.loads++;
-    const Tick start = sim_.now();
-    const std::size_t window =
-        static_cast<std::size_t>(cfg_.mshrsPerCore);
-    std::deque<Tick> inflight;
-    Tick done = start;
-    Tick t = start;
-    for (const Span &sp : spans) {
-        if (sp.bytes == 0)
-            continue;
-        const Addr first = lineOf(sp.addr);
-        const Addr last = lineOf(sp.addr + sp.bytes - 1);
-        for (Addr l = first; l <= last; l += kLineBytes) {
-            Tick issue = t;
-            if (inflight.size() == window) {
-                issue = std::max(t, inflight.front());
-                inflight.pop_front();
-            }
-            const Tick c = walkLine(a, l, write, issue, false);
-            inflight.push_back(c);
-            done = std::max(done, c);
-            t = issue;
-        }
-    }
-    if (write) {
-        // Publish-at-end semantics: see storeRange().
-        for (const Span &sp : spans) {
-            if (sp.bytes == 0)
-                continue;
-            const Addr first = lineOf(sp.addr);
-            const Addr last = lineOf(sp.addr + sp.bytes - 1);
-            for (Addr l = first; l <= last; l += kLineBytes) {
-                LineDir &d = dirFor(l);
-                d.writeBusyUntil = std::max(d.writeBusyUntil, done);
-            }
-        }
-    }
-    if (done > sim_.now())
-        co_await sim_.delayUntil(done);
-    co_return;
+    const Tick done = demandLines(
+        a, spans, write, static_cast<std::size_t>(cfg_.mshrsPerCore));
+    if (write)
+        holdPublish(spans, done);
+    co_await sim_.delayUntil(done);
 }
 
 sim::Coro<void>
@@ -898,46 +827,20 @@ CoherentSystem::postMulti(AgentId a, const std::vector<Span> &spans,
             ag.posted.pop_front();
     }
 
-    const Tick start = sim_.now();
-    const std::size_t window =
-        static_cast<std::size_t>(cfg_.mshrsPerCore);
-    std::deque<Tick> inflight;
-    Tick done = start;
-    Tick t = start;
-    for (const Span &sp : spans) {
-        if (sp.bytes == 0)
-            continue;
-        const Addr first = lineOf(sp.addr);
-        const Addr last = lineOf(sp.addr + sp.bytes - 1);
-        for (Addr l = first; l <= last; l += kLineBytes) {
-            Tick issue = t;
-            if (inflight.size() == window) {
-                issue = std::max(t, inflight.front());
-                inflight.pop_front();
-            }
+    Tick done = issueLines(
+        spans, static_cast<std::size_t>(cfg_.mshrsPerCore),
+        [&](Addr l, Tick issue) {
             const Tick c = walkLine(a, l, true, issue, false);
-            inflight.push_back(c);
-            done = std::max(done, c);
-            t = issue;
             ag.posted.push_back(c);
-        }
-    }
+            return c;
+        });
     std::sort(ag.posted.begin(), ag.posted.end());
 
     // TSO: a later posted write never becomes visible before an
     // earlier one from the same core.
     done = std::max(done, ag.lastPostedPublish);
     ag.lastPostedPublish = done;
-    for (const Span &sp : spans) {
-        if (sp.bytes == 0)
-            continue;
-        const Addr first = lineOf(sp.addr);
-        const Addr last = lineOf(sp.addr + sp.bytes - 1);
-        for (Addr l = first; l <= last; l += kLineBytes) {
-            LineDir &d = dirFor(l);
-            d.writeBusyUntil = std::max(d.writeBusyUntil, done);
-        }
-    }
+    holdPublish(spans, done);
     if (on_complete) {
         if (done > sim_.now())
             sim_.scheduleCallback(done, std::move(on_complete));
@@ -947,33 +850,6 @@ CoherentSystem::postMulti(AgentId a, const std::vector<Span> &spans,
     // The issuing core only pays a small retire cost.
     co_await sim_.delay(cfg_.cycles(1.0 + 0.5 * static_cast<double>(
                                               lines)));
-    co_return;
-}
-
-sim::Coro<void>
-CoherentSystem::waitLineChangeUntil(Addr line,
-                                    std::uint32_t seen_version,
-                                    sim::Tick deadline)
-{
-    if (faultsArmed_) {
-        auto st = stuck_.find(lineOf(line));
-        if (st != stuck_.end() && st->second.until > sim_.now()) {
-            // Invalidation stuck: the poller's cached copy never
-            // changes, so it sleeps out the window (or its deadline).
-            co_await sim_.delayUntil(
-                std::min(deadline, st->second.until));
-            co_return;
-        }
-    }
-    LineDir &d = dirFor(lineOf(line));
-    if (d.version != seen_version || deadline <= sim_.now())
-        co_return;
-    if (d.writeBusyUntil > sim_.now()) {
-        co_await sim_.delayUntil(
-            std::min(deadline, d.writeBusyUntil));
-        co_return;
-    }
-    co_await gateFor(d).waitUntil(deadline);
     co_return;
 }
 
@@ -987,62 +863,86 @@ CoherentSystem::touchLine(AgentId a, Addr line)
     walkLine(a, line, false, sim_.now(), false);
 }
 
+const CoherentSystem::StuckFault *
+CoherentSystem::stuckFault(Addr line, Tick when)
+{
+    if (stuck_.empty())
+        return nullptr;
+    auto st = stuck_.find(line);
+    if (st == stuck_.end())
+        return nullptr;
+    if (st->second.until > when)
+        return &st->second;
+    stuck_.erase(st);
+    return nullptr;
+}
+
 std::uint32_t
 CoherentSystem::lineVersion(Addr line)
 {
-    if (faultsArmed_) {
-        auto st = stuck_.find(lineOf(line));
-        if (st != stuck_.end()) {
-            if (st->second.until > sim_.now())
-                return st->second.heldVersion;
-            stuck_.erase(st);
-        }
-    }
-    return dirFor(lineOf(line)).version;
+    line = lineOf(line);
+    if (const StuckFault *st = stuckFault(line, sim_.now()))
+        return st->heldVersion;
+    return dirFor(line).version;
 }
 
 sim::Coro<void>
 CoherentSystem::waitLineChange(Addr line, std::uint32_t seen_version)
 {
-    if (faultsArmed_) {
-        auto st = stuck_.find(lineOf(line));
-        if (st != stuck_.end() && st->second.until > sim_.now()) {
-            co_await sim_.delayUntil(st->second.until);
-            co_return;
-        }
+    return waitLine(line, seen_version, sim::kTickMax, false);
+}
+
+sim::Coro<void>
+CoherentSystem::waitLineChangeUntil(Addr line,
+                                    std::uint32_t seen_version,
+                                    sim::Tick deadline)
+{
+    return waitLine(line, seen_version, deadline, true);
+}
+
+sim::Coro<void>
+CoherentSystem::waitLine(Addr line, std::uint32_t seen_version,
+                         Tick deadline, bool timed)
+{
+    line = lineOf(line);
+    if (const StuckFault *st = stuckFault(line, sim_.now())) {
+        // Invalidation stuck: the poller's cached copy never changes,
+        // so it sleeps out the window (or its deadline).
+        co_await sim_.delayUntil(std::min(deadline, st->until));
+        co_return;
     }
-    LineDir &d = dirFor(lineOf(line));
-    if (d.version != seen_version)
+    LineDir &d = dirFor(line);
+    if (d.version != seen_version || deadline <= sim_.now())
         co_return;
     if (d.writeBusyUntil > sim_.now()) {
         // A write on this line is still in flight; its completion is
         // the wakeup (this closes the lost-wakeup window for waiters
         // arriving after the write's walk but before its completion).
         // Read transfers deliberately do not wake pollers.
-        co_await sim_.delayUntil(d.writeBusyUntil);
+        co_await sim_.delayUntil(std::min(deadline, d.writeBusyUntil));
         co_return;
     }
-    co_await gateFor(d).wait();
-    co_return;
+    // An untimed wait schedules no timeout.
+    if (timed)
+        co_await gateFor(d).waitUntil(deadline);
+    else
+        co_await gateFor(d).wait();
 }
 
 Tick
 CoherentSystem::ddioWrite(int socket, Addr addr, std::uint32_t bytes,
                           Tick start)
 {
-    Tick t = start + cfg_.chaLookupLat;
-    const Addr first = lineOf(addr);
-    const Addr last = lineOf(addr + (bytes ? bytes - 1 : 0));
-    for (Addr l = first; l <= last; l += kLineBytes) {
+    const Tick t = start + cfg_.chaLookupLat;
+    forEachLine(addr, bytes, [&](Addr l) {
         LineDir &d = dirFor(l);
         invalidateCopies(d, l, socket, -1);
         insertLlc(socket, l, true);
         d.lastWriter = -1;
         d.migratory = false;
-        d.writeBusyUntil = std::max(d.writeBusyUntil, t);
         bumpVersion(d, l, t);
         telem_.ddioWrites++;
-    }
+    });
     return t;
 }
 
@@ -1051,9 +951,7 @@ CoherentSystem::dmaRead(int socket, Addr addr, std::uint32_t bytes,
                         Tick start)
 {
     Tick done = start;
-    const Addr first = lineOf(addr);
-    const Addr last = lineOf(addr + (bytes ? bytes - 1 : 0));
-    for (Addr l = first; l <= last; l += kLineBytes) {
+    forEachLine(addr, bytes, [&](Addr l) {
         LineDir &d = dirFor(l);
         Tick t = start + cfg_.chaLookupLat;
         CacheEntry *oe = nullptr;
@@ -1071,7 +969,7 @@ CoherentSystem::dmaRead(int socket, Addr addr, std::uint32_t bytes,
             t = dramAccess(homeSocket(l), kLineBytes, t);
         }
         done = std::max(done, t);
-    }
+    });
     return done;
 }
 
@@ -1130,19 +1028,16 @@ CoherentSystem::rangePoisoned(Addr addr, std::uint32_t bytes)
     if (!faultsArmed_ || poisoned_.empty())
         return false;
     const Tick now = sim_.now();
-    const Addr first = lineOf(addr);
-    const Addr last = lineOf(addr + (bytes ? bytes - 1 : 0));
     bool hit = false;
-    for (Addr l = first; l <= last; l += kLineBytes) {
+    forEachLine(addr, bytes, [&](Addr l) {
         auto it = poisoned_.find(l);
         if (it == poisoned_.end())
-            continue;
-        if (it->second > now) {
+            return;
+        if (it->second > now)
             hit = true;
-        } else {
+        else
             poisoned_.erase(it);
-        }
-    }
+    });
     if (hit)
         telem_.poisonReads++;
     return hit;
@@ -1154,10 +1049,8 @@ CoherentSystem::rangeStale(Addr addr, std::uint32_t bytes)
     if (!faultsArmed_ || (torn_.empty() && stuck_.empty()))
         return false;
     const Tick now = sim_.now();
-    const Addr first = lineOf(addr);
-    const Addr last = lineOf(addr + (bytes ? bytes - 1 : 0));
     bool stale = false;
-    for (Addr l = first; l <= last; l += kLineBytes) {
+    forEachLine(addr, bytes, [&](Addr l) {
         auto it = torn_.find(l);
         if (it != torn_.end()) {
             if (it->second > now) {
@@ -1167,14 +1060,9 @@ CoherentSystem::rangeStale(Addr addr, std::uint32_t bytes)
                 torn_.erase(it);
             }
         }
-        auto st = stuck_.find(l);
-        if (st != stuck_.end()) {
-            if (st->second.until > now)
-                stale = true;
-            else
-                stuck_.erase(st);
-        }
-    }
+        if (stuckFault(l, now))
+            stale = true;
+    });
     return stale;
 }
 

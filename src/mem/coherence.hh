@@ -30,6 +30,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -139,15 +140,13 @@ class CoherentSystem
     sim::Coro<void> flush(AgentId a, Addr addr, std::uint32_t bytes);
     /// @}
 
-    /// @name Range operations with MSHR-limited overlap.
+    /// @name Range operations with limited overlap.
     /// Model a core issuing back-to-back line accesses with up to
-    /// mshrsPerCore misses in flight (loads/stores) or storeBufDepth
-    /// posted nontemporal stores.
+    /// mshrsPerCore misses in flight (accessMulti, postMulti) or
+    /// max(4, wcBuffers / 3) nontemporal stores (ntStoreRange).
     /// @{
-    sim::Coro<void> loadRange(AgentId a, Addr addr, std::uint64_t bytes);
-    sim::Coro<void> storeRange(AgentId a, Addr addr, std::uint64_t bytes);
     sim::Coro<void> ntStoreRange(AgentId a, Addr addr,
-                                 std::uint64_t bytes);
+                                 std::uint32_t bytes);
 
     /** A contiguous byte span for multi-span accesses. */
     struct Span
@@ -157,9 +156,11 @@ class CoherentSystem
     };
 
     /**
-     * Access several spans with the same MSHR-overlap pipelining as a
-     * single range; models an out-of-order core streaming through a
-     * burst of packet payloads or descriptor lines.
+     * Access several spans with up to mshrsPerCore lines in flight;
+     * models an out-of-order core streaming through a burst of packet
+     * payloads or descriptor lines (one span for a single range). A
+     * write publishes when the whole access completes: pollers woken
+     * by one line's completion wait until then.
      */
     sim::Coro<void> accessMulti(AgentId a, const std::vector<Span> &spans,
                                 bool write);
@@ -413,6 +414,35 @@ class CoherentSystem
      */
     static constexpr std::uint64_t kDenseChunks = std::uint64_t{1} << 20;
 
+    /** Issue window of load() and store(): every line at once. */
+    static constexpr std::size_t kAllAtOnce = ~std::size_t{0};
+
+    /**
+     * The issue pipeline: call @p step(line, issue) for each line of
+     * the nonempty @p spans, issuing each line once fewer than
+     * @p window earlier lines are in flight; @p step returns the
+     * line's completion tick. Returns the last completion (at least
+     * now).
+     */
+    template <typename Step>
+    sim::Tick issueLines(std::span<const Span> spans, std::size_t window,
+                         Step &&step);
+
+    /** Demand-walk the lines of @p spans through issueLines(). */
+    sim::Tick demandLines(AgentId a, std::span<const Span> spans,
+                          bool write, std::size_t window);
+
+    /**
+     * Publish-at-end: hold each line's pending-write horizon of
+     * @p spans to @p done, so pollers woken by an individual line's
+     * completion wait for the whole write.
+     */
+    void holdPublish(std::span<const Span> spans, sim::Tick done);
+
+    /** Shared body of waitLineChange() and waitLineChangeUntil(). */
+    sim::Coro<void> waitLine(Addr line, std::uint32_t seen_version,
+                             sim::Tick deadline, bool timed);
+
     /**
      * Single-line access entry point: applies an active brownout
      * stretch around the protocol walk when faults are armed.
@@ -424,7 +454,10 @@ class CoherentSystem
     sim::Tick walkLineProtocol(AgentId a, Addr line, bool write,
                                sim::Tick start, bool prefetch);
 
-    /** Write-completion bookkeeping: version bump + waiter wakeup. */
+    /**
+     * Write-completion bookkeeping at @p when: pending-write horizon,
+     * version bump and waiter wakeup.
+     */
     void bumpVersion(LineDir &d, Addr line, sim::Tick when);
 
     /** Update migratory-pattern detection on a write by @p a. */
@@ -487,6 +520,8 @@ class CoherentSystem
     std::vector<sim::CalendarResource> dram_;
     std::vector<bool> prefetchOn_;
     std::vector<Addr> allocNext_;
+    /// issueLines() scratch: completion of each line in the window.
+    std::vector<sim::Tick> inflight_;
 
     /// Dense directory: per socket bit, chunk table indexed by
     /// (line - socketBase) / (kChunkLines * kLineBytes).
@@ -507,6 +542,9 @@ class CoherentSystem
         double factor = 1.0;
         sim::Tick until = 0;
     };
+
+    /** Stuck fault of @p line live at @p when; erases an expired one. */
+    const StuckFault *stuckFault(Addr line, sim::Tick when);
 
     bool faultsArmed_ = false;
     std::unordered_map<Addr, sim::Tick> poisoned_; ///< line -> clear tick

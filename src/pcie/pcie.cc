@@ -70,21 +70,6 @@ PcieLink::dmaRead(mem::Addr addr, std::uint32_t bytes)
 }
 
 sim::Coro<void>
-PcieLink::dmaWrite(mem::Addr addr, std::uint32_t bytes)
-{
-    co_await dmaTags_.acquire();
-    Tick t = sim_.now() + params_.dmaSetupLat;
-    t = up_.reserveAt(t, static_cast<std::uint64_t>(
-                             bytes * params_.tlpOverhead)) +
-        params_.devToHostLat;
-    // DDIO allocation into the host LLC; wakes host pollers.
-    t = mem_.ddioWrite(hostSocket_, addr, bytes, t);
-    co_await sim_.delayUntil(t);
-    dmaTags_.release();
-    co_return;
-}
-
-sim::Coro<void>
 PcieLink::dmaReadMulti(
     const std::vector<mem::CoherentSystem::Span> &spans)
 {

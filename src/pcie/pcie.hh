@@ -111,13 +111,6 @@ class PcieLink
     sim::Coro<void> dmaRead(mem::Addr addr, std::uint32_t bytes);
 
     /**
-     * DMA write into host memory with DDIO: payload crosses the link
-     * and allocates into the host LLC. Returns when the write is
-     * globally visible (host pollers wake).
-     */
-    sim::Coro<void> dmaWrite(mem::Addr addr, std::uint32_t bytes);
-
-    /**
      * Scatter DMA read of several spans in one batched operation: one
      * request roundtrip plus serialization of the total payload.
      * Models the deep DMA pipelining of real NIC ASICs.

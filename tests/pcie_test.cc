@@ -203,7 +203,8 @@ TEST(PcieDma, DdioWriteWakesHostPollerAndHitsLlc)
         run(PcieFixture &f, Addr a)
         {
             co_await f.simv.delay(sim::fromUs(2.0));
-            co_await f.link.dmaWrite(a, 64);
+            const std::vector<mem::CoherentSystem::Span> line{{a, 64}};
+            co_await f.link.dmaWriteMulti(line);
         }
     };
     f.simv.spawn(Poller::run(f, a, woke, reload_ns));

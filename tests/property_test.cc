@@ -305,9 +305,12 @@ TEST_P(CoherenceRandom, DeterministicAndMonotonic)
                   case 3:
                     co_await m.atomicRmw(ag, hot);
                     break;
-                  default:
-                    co_await m.loadRange(ag, addr, 4 * mem::kLineBytes);
+                  default: {
+                    const std::vector<mem::CoherentSystem::Span> range{
+                        {addr, 4 * mem::kLineBytes}};
+                    co_await m.accessMulti(ag, range, false);
                     break;
+                  }
                 }
                 // Property: line versions never decrease.
                 const std::uint32_t v = m.lineVersion(hot);
@@ -381,12 +384,18 @@ TEST_P(CoherenceRandom, InvariantsHoldUnderEvictions)
               case 2:
                 co_await m.atomicRmw(ag, addr);
                 break;
-              case 3:
-                co_await m.loadRange(ag, addr, kSpan * mem::kLineBytes);
+              case 3: {
+                const std::vector<mem::CoherentSystem::Span> range{
+                    {addr, kSpan * mem::kLineBytes}};
+                co_await m.accessMulti(ag, range, false);
                 break;
-              case 4:
-                co_await m.storeRange(ag, addr, kSpan * mem::kLineBytes);
+              }
+              case 4: {
+                const std::vector<mem::CoherentSystem::Span> range{
+                    {addr, kSpan * mem::kLineBytes}};
+                co_await m.accessMulti(ag, range, true);
                 break;
+              }
               case 5:
                 co_await m.ntStoreRange(ag, addr, 2 * mem::kLineBytes);
                 break;

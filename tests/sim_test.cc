@@ -201,30 +201,6 @@ TEST(Gate, NotifyAllWakesEveryWaiter)
     EXPECT_EQ(sim.now(), 500u);
 }
 
-TEST(BandwidthResource, SerializesReservations)
-{
-    Simulator sim;
-    BandwidthResource link(sim, 64e9); // 64B/ns.
-    // Two back-to-back 64B transfers: the second queues behind the
-    // first.
-    Tick t1 = link.reserve(64);
-    Tick t2 = link.reserve(64);
-    EXPECT_EQ(t1, kNanosecond);
-    EXPECT_EQ(t2, 2 * kNanosecond);
-    // A reservation in the future starts there.
-    Tick t3 = link.reserveAt(10 * kNanosecond, 64);
-    EXPECT_EQ(t3, 11 * kNanosecond);
-    EXPECT_EQ(link.bytesServed(), 192u);
-}
-
-TEST(BandwidthResource, RateChangeAffectsNewReservations)
-{
-    Simulator sim;
-    BandwidthResource link(sim, 64e9);
-    link.setRate(32e9);
-    EXPECT_EQ(link.reserve(64), 2 * kNanosecond);
-}
-
 /**
  * CalendarResource as it was before it kept its count of leading full
  * buckets: every reservation walks from the bucket of its earliest
