@@ -471,6 +471,13 @@ class NicInterface
      * wire input holds two engine batches (no TX work is pulled while
      * RX is backlogged). Yields false, core not held, if the device
      * left service meanwhile: the engine re-polls.
+     *
+     * The wait guards wire input injected from outside the loop only.
+     * Loopback traffic never reaches it: an RX engine waiting for ring
+     * or slot room holds the core, so the TX engine stops at the core
+     * with an empty input. No bench, scenario, example or perfbench
+     * workload reaches it; the FlowControl test does, by injecting
+     * packets into the wire input.
      */
     EngineWait takeTxCore(int q);
 

@@ -48,16 +48,30 @@ Simulator::run(Tick limit)
             return now_;
         }
         // Copy out before pop: executing the event may push new events
-        // and invalidate the reference.
-        Event ev = top;
+        // and invalidate the reference. The entry is plain data.
+        const Event ev = top;
         events_.pop();
         now_ = ev.when;
         ++eventsExecuted_;
-        if (ev.handle) {
-            if (!ev.handle.done())
+        switch (ev.kind) {
+          case Kind::Resume:
+            if (ev.handle && !ev.handle.done())
                 ev.handle.resume();
-        } else if (ev.callback) {
-            ev.callback();
+            break;
+          case Kind::Callback: {
+            // Move the callable out and free its slot first: the call
+            // may schedule callbacks and grow the slab.
+            std::function<void()> fn = std::move(callbacks_[ev.slot]);
+            freeCallbacks_.push_back(ev.slot);
+            if (fn)
+                fn();
+            break;
+          }
+          case Kind::Timeout:
+            // A stale timeout (the wait was notified, or has ended and
+            // its record was recycled) still counts as an event.
+            wakeTimedWait(WaitRef{ev.slot, ev.seq}, false);
+            break;
         }
     }
     return now_;
